@@ -175,8 +175,8 @@ StageTimes run_stages(int reps) {
     out.hash = hash_events(s, out.hash);
   }
 
-  // Recon: the streaming reconstructor (what the session daemon runs),
-  // whole record pushed then finished — bit-identical to the batch path.
+  // Recon: the one reconstruction core (what the session daemon runs),
+  // whole record pushed then finished — exactly the batch adapter.
   std::vector<Real> arv;
   for (int rep = 0; rep < reps; ++rep) {
     const double t = run_ms([&] {

@@ -5,15 +5,13 @@
 #include <cmath>
 #include <limits>
 
+#include "core/streaming_reconstruct.hpp"
 #include "dsp/moving_average.hpp"
 #include "dsp/stats.hpp"
 #include "dsp/types.hpp"
 
 namespace datc::core {
 namespace {
-
-/// ARV of a zero-mean Gaussian with RMS sigma.
-constexpr Real kArvOfSigma = 0.7978845608028654;  // sqrt(2/pi)
 
 std::size_t output_length(Real duration_s, Real fs) {
   return static_cast<std::size_t>(std::llround(duration_s * fs));
@@ -163,24 +161,16 @@ std::vector<Real> DatcReconstructor::vth_trajectory(const EventStream& events,
 
 std::vector<Real> DatcReconstructor::reconstruct(const EventStream& events,
                                                  Real duration_s) const {
-  const auto rate = event_rate_estimate(events, duration_s, config_.window_s,
-                                        config_.output_fs_hz);
-  // The DTC hops between DAC levels frame by frame; the rate estimate
-  // aggregates over the window, so the inversion must see the matching
-  // window-averaged threshold, not the instantaneous staircase.
-  const auto w = static_cast<std::size_t>(
-      std::llround(config_.window_s * config_.output_fs_hz));
-  auto vth = vth_trajectory(events, duration_s);
-  vth = dsp::centered_moving_average(vth, std::max<std::size_t>(w, 1));
-
-  std::vector<Real> sigma_rate(rate.size());
-  for (std::size_t i = 0; i < rate.size(); ++i) {
-    sigma_rate[i] = vth[i] / cal_->u_for_rate(rate[i]);
-  }
-  if (mode_ == DatcDecodeMode::kRateInversion) {
-    for (auto& s : sigma_rate) s *= kArvOfSigma;
-    return sigma_rate;
-  }
+  // Rate inversion against the window-averaged threshold (the DTC hops
+  // between DAC levels frame by frame; the rate estimate aggregates over
+  // the window, so the inversion must see the matching average). One
+  // implementation serves batch and streaming: the whole record is one
+  // chunk.
+  StreamingDatcReconstructor core(config_, cal_);
+  core.push_events(events.events());
+  core.finish(duration_s);
+  auto arv_rate = core.take();
+  if (mode_ == DatcDecodeMode::kRateInversion) return arv_rate;
 
   // kCodeDuty: each transmitted code k testifies that the weighted duty
   // average measured over the *preceding* frames — at the thresholds then
@@ -190,9 +180,11 @@ std::vector<Real> DatcReconstructor::reconstruct(const EventStream& events,
   // P(|x| > v) = 2 Q(v / sigma).
   const unsigned levels = 1u << config_.dac_bits;
   const Real lsb = config_.dac_vref / static_cast<Real>(levels);
+  const auto w = static_cast<std::size_t>(
+      std::llround(config_.window_s * config_.output_fs_hz));
 
   // Build the sigma estimate as a step function sampled at event times.
-  const std::size_t n = rate.size();
+  const std::size_t n = arv_rate.size();
   std::vector<Real> sigma_code(n, 0.0);
   std::array<unsigned, 3> hist{config_.min_code, config_.min_code,
                                config_.min_code};  // newest first
@@ -235,16 +227,16 @@ std::vector<Real> DatcReconstructor::reconstruct(const EventStream& events,
   const auto code_sm =
       dsp::centered_moving_average(code, std::max<std::size_t>(w, 1));
 
+  // At the code floor the duty interval is one-sided (the signal may be
+  // far below the lowest threshold); the rate tail disambiguates:
+  // arv = kArvOfSigma * min(sigma_code, sigma_rate). Scaling by a positive
+  // constant is monotone under round-to-nearest, so min() of the scaled
+  // values picks the same operand and yields the same bits.
   std::vector<Real> arv(n);
   const Real floor_code = static_cast<Real>(config_.min_code) + 0.5;
   for (std::size_t i = 0; i < n; ++i) {
-    Real sigma = sigma_code[i];
-    if (code_sm[i] <= floor_code) {
-      // At the code floor the duty interval is one-sided (the signal may
-      // be far below the lowest threshold); the rate tail disambiguates.
-      sigma = std::min(sigma, sigma_rate[i]);
-    }
-    arv[i] = kArvOfSigma * sigma;
+    arv[i] = kArvOfSigma * sigma_code[i];
+    if (code_sm[i] <= floor_code) arv[i] = std::min(arv[i], arv_rate[i]);
   }
   return arv;
 }

@@ -19,6 +19,9 @@
 
 namespace datc::core {
 
+/// ARV of a zero-mean Gaussian with RMS sigma: sqrt(2/pi).
+inline constexpr Real kArvOfSigma = 0.7978845608028654;
+
 /// Bit-exact envelope comparison — the one definition of "parity" shared
 /// by the streaming==batch checks (sim/stream_parity) and the store's
 /// record->replay gate, so the two cannot drift.

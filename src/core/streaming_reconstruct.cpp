@@ -1,97 +1,98 @@
-#include "core/reconstruct.hpp"
 #include "core/streaming_reconstruct.hpp"
-#include "dsp/types.hpp"
-#include "simd/dispatch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <utility>
+
+#include "core/reconstruct.hpp"
+#include "dsp/types.hpp"
 
 namespace datc::core {
 
 namespace {
-/// ARV of a zero-mean Gaussian with RMS sigma (same constant as the batch
-/// reconstructor).
-constexpr Real kArvOfSigma = 0.7978845608028654;  // sqrt(2/pi)
 
-/// Run-batching depth: how far the vth trajectory may run ahead of the
-/// emitter beyond the half window (ring headroom), and therefore the cap
-/// on one batched emit. Changing it moves only ring geometry, never the
-/// computed values.
-constexpr std::size_t kRunLen = 64;
+/// Slots of the direct-mapped calibration-inverse memo (count mod slots).
+/// The window count drifts by a few events per sample, so the counts in
+/// play share no slot unless they span more than this many values.
+constexpr std::size_t kMemoSlots = 64;
 
-/// Leading-true count of a monotone (true..true,false..false) predicate
-/// over the index range [begin, begin + count). The predicates used below
-/// compare (Real)j / fs against a constant — IEEE division is monotone in
-/// j, so binary search with the exact predicate is exact.
-template <class Pred>
-std::size_t true_prefix(std::size_t begin, std::size_t count, Pred&& pred) {
-  std::size_t lo = 0;
-  std::size_t hi = count;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (pred(begin + mid)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+/// First index at which the monotone (true..true, false..false) grid
+/// predicate `holds` fails, walked to from a floating-point estimate. Every
+/// probe evaluates the exact expression the emit loop uses, so the answer
+/// is exact; the estimate only saves steps (it is off by one or two).
+template <class Holds>
+std::size_t first_failing(Real estimate, Holds&& holds) {
+  std::size_t i =
+      estimate > 0.0 ? static_cast<std::size_t>(std::min(estimate, 1e18)) : 0;
+  while (i > 0 && !holds(i - 1)) --i;
+  while (holds(i)) ++i;
+  return i;
 }
+
 }  // namespace
 
 StreamingDatcReconstructor::StreamingDatcReconstructor(
     const ReconstructionConfig& config, CalibrationPtr calibration)
     : config_(config),
       cal_(std::move(calibration)),
+      fs_(config.output_fs_hz),
+      half_(config.window_s / 2.0),
       lsb_(config.dac_vref / static_cast<Real>(1u << config.dac_bits)),
-      watermark_(-std::numeric_limits<Real>::infinity()) {
+      watermark_(-std::numeric_limits<Real>::infinity()),
+      duration_(std::numeric_limits<Real>::infinity()) {
   dsp::require(cal_ != nullptr, "StreamingDatcReconstructor: null calibration");
   dsp::require(config_.window_s > 0.0 && config_.output_fs_hz > 0.0,
                "StreamingDatcReconstructor: parameters must be positive");
-  w_ = std::max<std::size_t>(
+  const std::size_t w = std::max<std::size_t>(
       static_cast<std::size_t>(
           std::llround(config_.window_s * config_.output_fs_hz)),
       1);
-  h_ = w_ / 2;
-  // Live prefix span is at most 2h + kRunLen + 2 entries
-  // (P[emit - h] .. P[vth_count], with the run headroom).
-  prefix_.assign(w_ + kRunLen + 8, 0.0);
-  prefix_[0] = 0.0;  // P[0]
-  // Until the first event arrives the receiver assumes the reset code (1),
-  // exactly as DatcReconstructor::vth_trajectory.
+  h_ = w / 2;
+  // Live spans: P[emit - h .. emit + h + 1] and t[emit .. emit + h].
+  const std::size_t p_size = std::bit_ceil(2 * h_ + 2);
+  const std::size_t t_size = std::bit_ceil(h_ + 2);
+  p_mask_ = p_size - 1;
+  t_mask_ = t_size - 1;
+  store_.assign(p_size + t_size + 2 * kMemoSlots, 0.0);  // P[0] = 0
+  // Memo slots are (count, u) pairs; key -1 marks an empty slot.
+  for (std::size_t i = p_size + t_size; i < store_.size(); i += 2) {
+    store_[i] = -1.0;
+  }
+  // Until the first event arrives the receiver assumes the reset code (1).
   held_vth_ = lsb_ * 1.0;
 }
 
 Real StreamingDatcReconstructor::latency_s() const {
-  return config_.window_s / 2.0 + 1.0 / config_.output_fs_hz;
+  return config_.window_s / 2.0 + 2.0 / config_.output_fs_hz;
 }
 
 std::size_t StreamingDatcReconstructor::buffered_bytes() const {
-  return ev_.size() * sizeof(Event) + prefix_.capacity() * sizeof(Real) +
-         diff_.capacity() * sizeof(Real) + out_buf_.capacity() * sizeof(Real);
+  return ev_.size() * sizeof(Event) + store_.capacity() * sizeof(Real) +
+         out_buf_.capacity() * sizeof(Real);
 }
 
 void StreamingDatcReconstructor::push_events(std::span<const Event> events) {
   dsp::require(!finished_,
                "StreamingDatcReconstructor: push_events after finish");
+  bool sorted = true;
   for (const Event& e : events) {
-    dsp::require(!saw_event_ || e.time_s >= last_time_,
-                 "StreamingDatcReconstructor: events must be time sorted");
+    sorted = sorted && (!saw_event_ || e.time_s >= last_time_);
     saw_event_ = true;
     last_time_ = e.time_s;
-    // datc-lint: allow(hot-alloc) — ev_ is a deque (block-allocating,
-    // amortised O(1) push; pop_front retires the other end, so a vector
-    // reserve() would pin the high-water mark forever).
-    ev_.push_back(e);
-    ++ev_pushed_;
   }
+  dsp::require(sorted,
+               "StreamingDatcReconstructor: events must be time sorted");
+  ev_.insert(ev_.end(), events.begin(), events.end());
 }
 
 void StreamingDatcReconstructor::advance_to(Real watermark) {
   dsp::require(!finished_,
                "StreamingDatcReconstructor: advance_to after finish");
+  dsp::require(watermark < std::numeric_limits<Real>::infinity(),
+               "StreamingDatcReconstructor: watermark must be finite");
   watermark_ = std::max(watermark_, watermark);
   pump();
 }
@@ -104,7 +105,6 @@ void StreamingDatcReconstructor::finish(Real duration_s) {
   duration_ = duration_s;
   n_total_ = static_cast<std::size_t>(
       std::llround(duration_s * config_.output_fs_hz));
-  watermark_ = std::numeric_limits<Real>::infinity();
   pump();
 }
 
@@ -113,213 +113,107 @@ void StreamingDatcReconstructor::drain(std::vector<Real>& out) {
   out_buf_.clear();
 }
 
-/// Extends the vth trajectory by up to kRunLen + h samples past the
-/// emitter. Between event arrivals the held threshold is constant, so the
-/// prefix sums of an event-free stretch append as one tight accumulate
-/// loop (the stretch length comes from an exact binary search against the
-/// next event's timestamp). Value-identical to the old one-sample
-/// extend_vth iterated: each step still computes P[j+1] = P[j] + held.
-bool StreamingDatcReconstructor::extend_vth_run() {
-  // Ring bound: never run more than h + kRunLen ahead of the emitter.
-  std::size_t max_count = emit_n_ + h_ + kRunLen + 1;
-  if (finished_ && n_total_ < max_count) max_count = n_total_;
-  if (vth_count_ >= max_count) return false;
-  const Real fs = config_.output_fs_hz;
-  if (!finished_) {
-    // Events at t_j are final only once the watermark passes t_j.
-    max_count =
-        vth_count_ + true_prefix(vth_count_, max_count - vth_count_,
-                                 [&](std::size_t j) {
-                                   return static_cast<Real>(j) / fs <
-                                          watermark_;
-                                 });
-    if (max_count <= vth_count_) return false;
-  }
-  const std::size_t ring = prefix_.size();
-  const std::size_t begin = vth_count_;
-  while (vth_count_ < max_count) {
-    const Real t = static_cast<Real>(vth_count_) / fs;
-    while (vth_next_ < ev_pushed_ && ev_time(vth_next_) <= t) {
-      held_vth_ = lsb_ * static_cast<Real>(ev_[vth_next_ - ev_base_].vth_code);
-      ++vth_next_;
-    }
-    // Event-free stretch: every j below the next retained event's instant
-    // holds the same threshold (j = vth_count_ itself is always eligible —
-    // its events were just consumed).
-    std::size_t stop = max_count;
-    if (vth_next_ < ev_pushed_) {
-      const Real t_next = ev_time(vth_next_);
-      stop = vth_count_ + 1 +
-             true_prefix(vth_count_ + 1, max_count - vth_count_ - 1,
-                         [&](std::size_t j) {
-                           return !(t_next <=
-                                    static_cast<Real>(j) / fs);
-                         });
-    }
-    Real p = prefix_at(vth_count_);
-    std::size_t idx = (vth_count_ + 1) % ring;
-    for (std::size_t j = vth_count_; j < stop; ++j) {
-      p += held_vth_;
-      prefix_[idx] = p;
-      if (++idx == ring) idx = 0;
-    }
-    vth_count_ = stop;
-  }
-  return vth_count_ > begin;
+std::vector<Real> StreamingDatcReconstructor::take() {
+  return std::exchange(out_buf_, {});
 }
 
-/// Emits a run of output samples whose rate-window cursors provably do
-/// not move (no event enters or leaves the window across the run) and
-/// whose smoothing windows are unclamped by the record edges. Over such a
-/// run the event rate is constant and the centred moving average reduces
-/// to a window difference of prefix sums — the vector kernel — while the
-/// per-sample scalar tail (w_eff, rate, calibration inverse) keeps the
-/// batch expression order. Any sample not eligible for the fast path
-/// falls back to one scalar emit_ready() step, which also performs the
-/// cursor advancement that ends every run.
-bool StreamingDatcReconstructor::emit_run() {
-  if (emit_n_ < h_) return emit_ready();        // left edge: clamped window
-  if (vth_count_ < h_ + 1) return emit_ready();  // nothing vector-eligible
-  // Availability: emitting j needs the vth trajectory through j + h.
-  std::size_t bound = vth_count_ - h_;
-  if (finished_) {
-    if (n_total_ < h_ + 1) return emit_ready();  // right edge: clamped
-    bound = std::min(bound, n_total_ - h_);
-  }
-  if (bound <= emit_n_) return emit_ready();
-  std::size_t r = bound - emit_n_;
-  const Real fs = config_.output_fs_hz;
-  const Real half = config_.window_s / 2.0;
+/// Emits every output sample whose inputs are final. Before finish() that
+/// takes two bounds from the watermark: the rate window of n must lie
+/// below it, and n + h must lie below llround(watermark * fs). The latter
+/// is a lower bound on the final sample count, so the smoothing window is
+/// provably unclamped by the (still unknown) record end, and it keeps
+/// every vth sample the window reads strictly below the watermark.
+void StreamingDatcReconstructor::pump() {
+  const Real fs = fs_;
+  const Real half = half_;
+  std::size_t n_end = n_total_;
+  std::size_t j_cap = n_total_;
   if (!finished_) {
-    // The rate window needs every event below t_hi(j) to be final.
-    r = true_prefix(emit_n_, r, [&](std::size_t j) {
-      return watermark_ >= static_cast<Real>(j) / fs + half;
-    });
+    const Real wm = watermark_;
+    if (!(wm > 0.0)) return;
+    const std::size_t rate_final =
+        first_failing((wm - half) * fs + 1.0, [&](std::size_t n) {
+          return wm >= static_cast<Real>(n) / fs + half;
+        });
+    // j < llround(wm * fs) puts t_j at least half a sample below wm.
+    j_cap = static_cast<std::size_t>(std::llround(wm * fs));
+    n_end = std::min(rate_final, j_cap > h_ ? j_cap - h_ : 0);
   }
-  // Cursor stability: the scalar path advances lo_ while
-  // ev_time(lo_) < t_lo(j) (and hi_ likewise). The cursors stay put for
-  // exactly the samples where the current event is at/after the window
-  // edge; a cursor past the last pushed event cannot move at all.
-  if (lo_ < ev_pushed_) {
-    const Real te = ev_time(lo_);
-    r = true_prefix(emit_n_, r, [&](std::size_t j) {
-      return te >= static_cast<Real>(j) / fs - half;
-    });
-  }
-  if (hi_ < ev_pushed_) {
-    const Real te = ev_time(hi_);
-    r = true_prefix(emit_n_, r, [&](std::size_t j) {
-      return te >= static_cast<Real>(j) / fs + half;
-    });
-  }
-  if (r == 0) return emit_ready();
+  std::size_t n = emit_n_;
+  if (n >= n_end) return;
+  out_buf_.reserve(out_buf_.size() + (n_end - n));
 
-  // Window numerators P[j + h + 1] - P[j - h] for the whole run: both
-  // index sequences are contiguous in the ring, so the subtraction runs
-  // through the vector kernel, split at the (at most two) wrap points.
-  const std::size_t n0 = emit_n_;
-  const std::size_t ring = prefix_.size();
-  diff_.resize(r);
-  const auto& kt = simd::kernels();
-  std::size_t off = 0;
-  std::size_t ih = (n0 + h_ + 1) % ring;
-  std::size_t il = (n0 - h_) % ring;
-  while (off < r) {
-    const std::size_t len = std::min({r - off, ring - ih, ring - il});
-    kt.window_diff(diff_.data() + off, prefix_.data() + ih,
-                   prefix_.data() + il, len);
-    off += len;
-    ih += len;
-    il += len;
-    if (ih == ring) ih = 0;
-    if (il == ring) il = 0;
-  }
+  Real* const prefix = store_.data();
+  Real* const times = prefix + p_mask_ + 1;
+  Real* const memo = times + t_mask_ + 1;
+  const Event* const ev = ev_.data();
+  const std::size_t n_ev = ev_.size();
+  const std::size_t h = h_;
+  const Real lsb = lsb_;
+  const Real duration = duration_;
+  const Real w_interior = config_.window_s;
+  std::size_t j = vth_count_;
+  std::size_t lo = lo_;
+  std::size_t hi = hi_;
+  std::size_t vn = vth_next_;
+  Real held = held_vth_;
 
-  const Real count = static_cast<Real>(2 * h_ + 1);  // ma_hi - ma_lo + 1
-  const Real rate_n = static_cast<Real>(hi_ - lo_);
-  out_buf_.reserve(out_buf_.size() + r);
-  for (std::size_t i = 0; i < r; ++i) {
-    const Real t = static_cast<Real>(n0 + i) / fs;
+  for (; n < n_end; ++n) {
+    // Extend the held-vth prefix sum through the smoothing window's end.
+    const std::size_t ma_end = std::min(n + h + 1, j_cap);
+    for (; j < ma_end; ++j) {
+      const Real t = static_cast<Real>(j) / fs;
+      while (vn < n_ev && ev[vn].time_s <= t) {
+        held = lsb * static_cast<Real>(ev[vn].vth_code);
+        ++vn;
+      }
+      times[j & t_mask_] = t;
+      prefix[(j + 1) & p_mask_] = prefix[j & p_mask_] + held;
+    }
+
+    const Real t = times[n & t_mask_];
     const Real t_lo = t - half;
     const Real t_hi = t + half;
-    const Real w_eff =
-        (finished_ ? std::min(t_hi, duration_) : t_hi) - std::max(t_lo, 0.0);
-    const Real rate = rate_n / std::max(w_eff, Real{1e-9});
-    const Real vth_sm = diff_[i] / count;
-    const Real sigma = vth_sm / u_of_rate(rate);
+    while (lo < n_ev && ev[lo].time_s < t_lo) ++lo;
+    while (hi < n_ev && ev[hi].time_s < t_hi) ++hi;
+    // Boundary windows are truncated by the record edges (before finish()
+    // duration is +inf and t_hi <= watermark <= the final duration, so the
+    // min() is the batch expression's value either way).
+    const Real w_eff = std::min(t_hi, duration) - std::max(t_lo, 0.0);
+    const std::size_t count = hi - lo;
+    const auto inverse = [&] {
+      return cal_->u_for_rate(static_cast<Real>(count) /
+                              std::max(w_eff, Real{1e-9}));
+    };
+    Real u = 0.0;
+    if (w_eff == w_interior) {
+      Real* const slot = memo + 2 * (count & (kMemoSlots - 1));
+      const auto key = static_cast<Real>(count);
+      if (slot[0] != key) {
+        slot[0] = key;
+        slot[1] = inverse();
+      }
+      u = slot[1];
+    } else {
+      u = inverse();
+    }
+
+    const std::size_t ma_lo = n >= h ? n - h : 0;
+    const Real vth_sm = (prefix[ma_end & p_mask_] - prefix[ma_lo & p_mask_]) /
+                        static_cast<Real>(ma_end - ma_lo);
+    const Real sigma = vth_sm / u;
     out_buf_.push_back(sigma * kArvOfSigma);
   }
-  emit_n_ = n0 + r;
 
-  // Drop events no cursor can revisit — once per run instead of per
-  // sample (the cursors did not move, so the bound is the same).
-  const std::size_t done = std::min(lo_, vth_next_);
-  while (ev_base_ < done && !ev_.empty()) {
-    ev_.pop_front();
-    ++ev_base_;
-  }
-  return true;
-}
-
-/// Calibration inverse with a one-entry memo. Away from the record edges
-/// the window width is a constant and the rate window cursors move only
-/// between runs, so the rate repeats bitwise for long stretches; reusing
-/// the last (rate, u) pair then returns the identical value without the
-/// binary search (u_for_rate is a pure function of its argument).
-Real StreamingDatcReconstructor::u_of_rate(Real rate) {
-  if (rate != u_cache_rate_) {
-    u_cache_rate_ = rate;
-    u_cache_u_ = cal_->u_for_rate(rate);
-  }
-  return u_cache_u_;
-}
-
-/// Emit output sample emit_n_ if every input it depends on is final.
-bool StreamingDatcReconstructor::emit_ready() {
-  if (finished_ && emit_n_ >= n_total_) return false;
-  const std::size_t n = emit_n_;
-  const Real t = static_cast<Real>(n) / config_.output_fs_hz;
-  const Real t_lo = t - config_.window_s / 2.0;
-  const Real t_hi = t + config_.window_s / 2.0;
-  // The rate window needs every event below t_hi; the smoother needs the
-  // vth trajectory through n + h (clamped to the record end once known).
-  const std::size_t ma_hi =
-      finished_ ? std::min(n + h_, n_total_ - 1) : n + h_;
-  if (!finished_ && !(watermark_ >= t_hi)) return false;
-  if (vth_count_ <= ma_hi) return false;
-
-  while (lo_ < ev_pushed_ && ev_time(lo_) < t_lo) ++lo_;
-  while (hi_ < ev_pushed_ && ev_time(hi_) < t_hi) ++hi_;
-  // Boundary windows are truncated by the record edges (pre-finish the
-  // watermark contract guarantees t_hi <= duration, so min() is a no-op
-  // and the expression equals the batch one).
-  const Real w_eff =
-      (finished_ ? std::min(t_hi, duration_) : t_hi) - std::max(t_lo, 0.0);
-  const Real rate =
-      static_cast<Real>(hi_ - lo_) / std::max(w_eff, Real{1e-9});
-
-  const std::size_t ma_lo = n >= h_ ? n - h_ : 0;
-  const Real vth_sm = (prefix_at(ma_hi + 1) - prefix_at(ma_lo)) /
-                      static_cast<Real>(ma_hi - ma_lo + 1);
-  const Real sigma = vth_sm / u_of_rate(rate);
-  out_buf_.push_back(sigma * kArvOfSigma);
-  ++emit_n_;
-
-  // Drop events no cursor can revisit.
-  const std::size_t done = std::min(lo_, vth_next_);
-  while (ev_base_ < done && !ev_.empty()) {
-    ev_.pop_front();
-    ++ev_base_;
-  }
-  return true;
-}
-
-void StreamingDatcReconstructor::pump() {
-  bool progressed = true;
-  while (progressed) {
-    progressed = extend_vth_run();
-    progressed = emit_run() || progressed;
-  }
+  // Drop the events no cursor can revisit.
+  const std::size_t done = std::min(lo, vn);
+  ev_.erase(ev_.begin(), ev_.begin() + static_cast<std::ptrdiff_t>(done));
+  emit_n_ = n;
+  vth_count_ = j;
+  lo_ = lo - done;
+  hi_ = hi - done;
+  vth_next_ = vn - done;
+  held_vth_ = held;
 }
 
 }  // namespace datc::core

@@ -1,27 +1,35 @@
 #pragma once
-// Incremental receiver-side ARV reconstruction with bounded memory and a
-// fixed emission latency, bit-identical to DatcReconstructor's rate
-// inversion (the default decode mode) over the whole record.
+// The receiver-side ARV reconstruction (D-ATC rate inversion): the one
+// implementation, used incrementally by the streaming sessions and as
+// "push everything, then finish" by DatcReconstructor::reconstruct.
 //
-// The batch reconstructor needs the entire event stream before emitting
-// anything: the sliding rate window looks half a window into the future,
-// and the centred moving average over the held-threshold trajectory does
-// the same. This class runs both with explicit state:
+// For every output index n on the grid t_n = n / fs it computes
 //
-//   events ----> [deque, three cursors: rate lo / rate hi / vth hold]
-//   vth[j] ----> [running prefix sum in a ring of ~window entries]
-//   output[n] -> emitted once the event-time watermark passes
-//                t_n + window/2 (every quantity batch would compute for
-//                index n is then final)
+//   rate[n]  = #events in [t_n - window/2, t_n + window/2) / w_eff
+//   vth_sm[n] = centred moving average of the held threshold trajectory
+//               over samples [n - h, n + h] (clamped at the record edges)
+//   arv[n]   = vth_sm[n] / u_for_rate(rate[n]) * sqrt(2/pi)
+//
+// in one per-sample loop whose expression order is the naive batch
+// formulation's, so the output is bit-identical for any chunking:
+//
+//   events --> [vector + three cursors: rate lo / rate hi / vth hold,
+//               advanced by plain while loops (two-pointer)]
+//   vth[j] --> [running prefix sum P in a power-of-two ring of >= 2h + 2
+//               entries; t_j = j / fs stored beside it in a ring of
+//               >= h + 2, computed once per grid index]
+//   u(count) -> [direct-mapped memo by integer window count, used only
+//               while w_eff equals the interior width bit for bit — the
+//               inverse is a pure function, so a hit returns the
+//               identical bits]
+//   output[n] emitted once the watermark finalises every input of n
 //
 // The caller advances a watermark promising that every event with an
-// earlier timestamp has been pushed; finish() supplies the record
-// duration and drains the tail (whose window truncation needs it).
-// Arithmetic is expression-for-expression the batch reconstructor's, so
-// the emitted samples are bit-identical for any chunking — asserted by
-// the streaming-parity tests.
+// earlier timestamp has been pushed (and that the record lasts at least
+// that long); finish() supplies the record duration and drains the tail,
+// whose window truncation needs it. Memory is O(window): the two rings,
+// the memo and the events the cursors can still revisit.
 
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -45,31 +53,36 @@ class StreamingDatcReconstructor {
   void advance_to(Real watermark);
 
   /// End of stream: fixes the output length at llround(duration_s *
-  /// output_fs_hz) — exactly the batch grid — and emits the tail.
+  /// output_fs_hz) and emits the tail (reserving room for it first).
   void finish(Real duration_s);
 
   /// Moves the samples emitted since the last drain into `out`.
   void drain(std::vector<Real>& out);
+  /// Hands over the samples emitted since the last drain as a vector
+  /// (after a lone finish(): the whole envelope, in one allocation).
+  [[nodiscard]] std::vector<Real> take();
 
   /// Output samples emitted so far (global count).
   [[nodiscard]] std::size_t emitted() const { return emit_n_; }
   /// Upper bound on emission latency behind the watermark, in seconds.
   [[nodiscard]] Real latency_s() const;
-  /// Current working-set size — the bounded-memory claim, measurable.
+  /// Working-set size: the rings, the memo, the output buffer and the
+  /// retained events — the bounded-memory claim, measurable.
   [[nodiscard]] std::size_t buffered_bytes() const;
+  /// Events the cursors can still revisit.
+  [[nodiscard]] std::size_t retained_events() const { return ev_.size(); }
 
   [[nodiscard]] const ReconstructionConfig& config() const { return config_; }
 
  private:
   ReconstructionConfig config_;
   CalibrationPtr cal_;
+  Real fs_;
+  Real half_;                   ///< window_s / 2, the rate-window half width
   Real lsb_;
-  std::size_t w_;  ///< smoothing window in output samples, >= 1
-  std::size_t h_;  ///< half window (w_ / 2)
+  std::size_t h_{0};            ///< smoothing half window in samples
 
-  std::deque<Event> ev_;        ///< retained events
-  std::size_t ev_base_{0};      ///< global index of ev_.front()
-  std::size_t ev_pushed_{0};    ///< global event count pushed so far
+  std::vector<Event> ev_;       ///< retained events (front = oldest)
   std::size_t lo_{0};           ///< rate window [t_lo, ...) cursor
   std::size_t hi_{0};           ///< rate window [..., t_hi) cursor
   std::size_t vth_next_{0};     ///< vth hold cursor
@@ -77,30 +90,20 @@ class StreamingDatcReconstructor {
   Real last_time_{0.0};         ///< sort check across push calls
   bool saw_event_{false};
 
-  std::vector<Real> prefix_;    ///< ring: prefix sums of the vth samples
-  std::vector<Real> diff_;      ///< window-diff scratch for batched emits
-  std::size_t vth_count_{0};    ///< vth samples computed so far
+  /// One allocation: P ring | t ring | u memo.
+  std::vector<Real> store_;
+  std::size_t p_mask_{0};
+  std::size_t t_mask_{0};
+  std::size_t vth_count_{0};    ///< grid indices j with P[j + 1] computed
 
   std::size_t emit_n_{0};       ///< next output index to emit
-  Real u_cache_rate_{-1.0};     ///< last rate passed to u_for_rate (< 0: none)
-  Real u_cache_u_{0.0};         ///< u_for_rate(u_cache_rate_)
   Real watermark_;
   bool finished_{false};
   std::size_t n_total_{0};      ///< valid once finished_
-  Real duration_{0.0};          ///< valid once finished_
+  Real duration_;               ///< +inf until finished_
   std::vector<Real> out_buf_;   ///< emitted, not yet drained
 
-  [[nodiscard]] Real prefix_at(std::size_t j) const {
-    return prefix_[j % prefix_.size()];
-  }
-  [[nodiscard]] Real ev_time(std::size_t global) const {
-    return ev_[global - ev_base_].time_s;
-  }
   void pump();
-  bool extend_vth_run();
-  bool emit_run();
-  bool emit_ready();
-  [[nodiscard]] Real u_of_rate(Real rate);
 };
 
 }  // namespace datc::core

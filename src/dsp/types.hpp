@@ -73,5 +73,10 @@ class TimeSeries {
 inline void require(bool ok, const std::string& what) {
   if (!ok) throw std::invalid_argument(what);
 }
+/// Literal-message overload: builds no std::string unless it throws, so
+/// per-event and per-chunk precondition checks stay allocation-free.
+inline void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(what);
+}
 
 }  // namespace datc::dsp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/datc_encoder.hpp"
 #include "core/event_arena.hpp"
@@ -126,8 +127,11 @@ StreamParityResult check_stream_parity(const dsp::TimeSeries& emg_v,
   session.finish();
   session.drain_arv(arv_stream);
 
-  return check_stream_output(emg_v, eval, link, calibration, chunk_size,
-                             channel_id, session.rx_events(), arv_stream);
+  auto out = check_stream_output(emg_v, eval, link, calibration, chunk_size,
+                                 channel_id, session.rx_events(), arv_stream);
+  out.stream_events.push_back(session.rx_events());
+  out.stream_arv.push_back(std::move(arv_stream));
+  return out;
 }
 
 StreamParityResult check_shared_stream_parity(
@@ -196,6 +200,8 @@ StreamParityResult check_shared_stream_parity(
     out.max_abs_arv_diff = std::max(out.max_abs_arv_diff,
                                     per.max_abs_arv_diff);
     if (!per.arv_equal) out.arv_equal = false;
+    out.stream_events.push_back(session.rx_events(c));
+    out.stream_arv.push_back(std::move(arv_stream));
   }
   // The arbiter and demux accounting must agree as well.
   if (session.arbiter_stats().sent != link_run.arbiter.sent ||

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "core/events.hpp"
 #include "core/reconstruct.hpp"
 #include "dsp/types.hpp"
 #include "runtime/session.hpp"
@@ -43,6 +44,11 @@ struct StreamParityResult {
   std::size_t events_stream{0};
   std::size_t arv_samples{0};
   Real max_abs_arv_diff{0.0};
+  /// What the session produced, one entry per channel (filled by
+  /// check_stream_parity / check_shared_stream_parity), so tests can also
+  /// hold the envelope against an independent reference.
+  std::vector<core::EventStream> stream_events;
+  std::vector<std::vector<Real>> stream_arv;
 
   [[nodiscard]] bool identical() const { return events_equal && arv_equal; }
 };

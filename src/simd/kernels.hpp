@@ -52,9 +52,6 @@ struct KernelTable {
                      Real* z1, std::size_t n);
   /// dst[i] = (c * a[i]) * a[i]  (receiver pulse energy, left-associated).
   void (*square_scale)(Real* dst, const Real* a, Real c, std::size_t n);
-  /// dst[i] = hi[i] - lo[i]  (moving-average window differences).
-  void (*window_diff)(Real* dst, const Real* hi, const Real* lo,
-                      std::size_t n);
 };
 
 namespace detail {

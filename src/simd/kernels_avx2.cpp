@@ -150,23 +150,11 @@ void square_scale_avx2(Real* dst, const Real* a, Real c, std::size_t n) {
   for (; i < n; ++i) dst[i] = c * a[i] * a[i];
 }
 
-void window_diff_avx2(Real* dst, const Real* hi, const Real* lo,
-                      std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        dst + i, _mm256_sub_pd(_mm256_loadu_pd(hi + i),
-                               _mm256_loadu_pd(lo + i)));
-  }
-  for (; i < n; ++i) dst[i] = hi[i] - lo[i];
-}
-
 }  // namespace
 
 const KernelTable& avx2_table() {
   static const KernelTable table{Backend::avx2, "avx2", cmp_masks_avx2,
-                                 gauss_tail_avx2, square_scale_avx2,
-                                 window_diff_avx2};
+                                 gauss_tail_avx2, square_scale_avx2};
   return table;
 }
 

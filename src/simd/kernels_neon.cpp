@@ -129,21 +129,11 @@ void square_scale_neon(Real* dst, const Real* a, Real c, std::size_t n) {
   for (; i < n; ++i) dst[i] = c * a[i] * a[i];
 }
 
-void window_diff_neon(Real* dst, const Real* hi, const Real* lo,
-                      std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(dst + i, vsubq_f64(vld1q_f64(hi + i), vld1q_f64(lo + i)));
-  }
-  for (; i < n; ++i) dst[i] = hi[i] - lo[i];
-}
-
 }  // namespace
 
 const KernelTable& neon_table() {
   static const KernelTable table{Backend::neon, "neon", cmp_masks_neon,
-                                 gauss_tail_neon, square_scale_neon,
-                                 window_diff_neon};
+                                 gauss_tail_neon, square_scale_neon};
   return table;
 }
 

@@ -36,19 +36,11 @@ void square_scale_scalar(Real* dst, const Real* a, Real c, std::size_t n) {
   }
 }
 
-void window_diff_scalar(Real* dst, const Real* hi, const Real* lo,
-                        std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = hi[i] - lo[i];
-  }
-}
-
 }  // namespace
 
 const KernelTable& scalar_table() {
   static const KernelTable table{Backend::scalar, "scalar", cmp_masks_scalar,
-                                 gauss_tail_scalar, square_scale_scalar,
-                                 window_diff_scalar};
+                                 gauss_tail_scalar, square_scale_scalar};
   return table;
 }
 

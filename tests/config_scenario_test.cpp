@@ -15,6 +15,7 @@
 #include "config/scenario_grid.hpp"
 #include "sim/stream_parity.hpp"
 #include "store/replay.hpp"
+#include "support/recon_oracle.hpp"
 
 namespace datc {
 namespace {
@@ -255,6 +256,12 @@ TEST(FactoryParityTest, StreamingSessionMatchesLegacyBatchPath) {
         factory.calibration(), chunk);
     EXPECT_TRUE(r.identical()) << "chunk " << chunk;
     EXPECT_GT(r.events_batch, 0u);
+    EXPECT_EQ(test_support::first_oracle_mismatch(
+                  r.stream_events, r.stream_arv, rec.emg_v.duration_s(),
+                  sim::datc_reconstruction_config(factory.eval_config()),
+                  *factory.calibration()),
+              -1)
+        << "chunk " << chunk;
   }
   // And the factory's own session must equal a hand-built one.
   const auto legacy_cfg = sim::make_session_config(

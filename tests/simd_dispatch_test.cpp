@@ -1,9 +1,10 @@
 // Runtime SIMD dispatch: every backend available on this host must
 // produce BIT-IDENTICAL results to the scalar reference — decoded event
 // streams, reconstructed envelopes and the raw kernel outputs — across
-// the chunk-size x link-mode stream-parity matrix, and the batched RNG
-// fills must draw the exact per-call sequence with the identical engine
-// end-state. Backends the host cannot run are skipped (not passed): the
+// the chunk-size x link-mode stream-parity matrix, with every envelope
+// also equal to the independent reconstruction oracle — and the batched
+// RNG fills must draw the exact per-call sequence with the identical
+// engine end-state. Backends the host cannot run are skipped (not passed): the
 // CI matrix shows which lanes actually executed.
 
 #include <bit>
@@ -20,6 +21,7 @@
 #include "emg/evaluation.hpp"
 #include "sim/stream_parity.hpp"
 #include "simd/dispatch.hpp"
+#include "support/recon_oracle.hpp"
 #include "uwb/link_pipeline.hpp"
 
 namespace {
@@ -146,6 +148,13 @@ TEST_P(SimdBackendMatrixTest, StreamParityAcrossChunkSizesAndLinkModes) {
           << simd::backend_name(GetParam()) << " chunk " << chunk
           << (noisy ? " noisy" : " clean") << ": max ARV diff "
           << r.max_abs_arv_diff;
+      EXPECT_EQ(test_support::first_oracle_mismatch(
+                    r.stream_events, r.stream_arv, rec.emg_v.duration_s(),
+                    emg::datc_reconstruction_config(eval),
+                    *test_calibration()),
+                -1)
+          << simd::backend_name(GetParam()) << " chunk " << chunk
+          << (noisy ? " noisy" : " clean") << ": envelope != oracle";
     }
   }
 }
@@ -163,6 +172,11 @@ TEST_P(SimdBackendMatrixTest, SharedAerStreamParity) {
       chans, eval, noisy_link(29), shared, test_calibration(), 512);
   EXPECT_TRUE(r.identical())
       << simd::backend_name(GetParam()) << ": shared-AER parity broke";
+  EXPECT_EQ(test_support::first_oracle_mismatch(
+                r.stream_events, r.stream_arv, chans[0].duration_s(),
+                emg::datc_reconstruction_config(eval), *test_calibration()),
+            -1)
+      << simd::backend_name(GetParam()) << ": envelope != oracle";
 }
 
 // The fused block encoder against the per-cycle reference encoder.
@@ -240,6 +254,14 @@ TEST(SimdCrossBackendTest, PipelineBitIdenticalToScalar) {
   ASSERT_GT(ref.tx.size(), 0u);
   ASSERT_GT(ref.rx.size(), 0u);
   ASSERT_GT(ref.arv.size(), 0u);
+  ASSERT_EQ(test_support::first_bit_difference(
+                test_support::oracle_rate_inversion(
+                    ref.rx.events(), rec.emg_v.duration_s(),
+                    emg::datc_reconstruction_config(eval),
+                    *test_calibration()),
+                ref.arv),
+            -1)
+      << "scalar envelope != oracle";
 
   for (const auto b : {simd::Backend::avx2, simd::Backend::neon}) {
     if (!simd::backend_available(b)) continue;
@@ -261,7 +283,7 @@ TEST(SimdCrossBackendTest, PipelineBitIdenticalToScalar) {
 // Raw kernel outputs on synthetic operands, vector tables vs scalar.
 TEST(SimdCrossBackendTest, KernelOutputsBitIdenticalToScalar) {
   constexpr std::size_t kN = 259;  // odd tail exercises remainder loops
-  std::vector<Real> u(kN), v(kN), s(kN), a(kN), hi(kN), lo(kN);
+  std::vector<Real> u(kN), v(kN), s(kN), a(kN);
   dsp::Rng rng(99);
   for (std::size_t i = 0; i < kN; ++i) {
     // Polar-tail operands: s in (0, 1), (u, v) inside the unit disc.
@@ -277,25 +299,21 @@ TEST(SimdCrossBackendTest, KernelOutputsBitIdenticalToScalar) {
     v[i] = y;
     s[i] = m;
     a[i] = 4.0 * rng.canonical() - 2.0;
-    hi[i] = 10.0 * rng.canonical();
-    lo[i] = 10.0 * rng.canonical();
   }
 
   const auto& scalar = simd::detail::scalar_table();
-  std::vector<Real> z0_ref(kN), z1_ref(kN), sq_ref(kN), wd_ref(kN);
+  std::vector<Real> z0_ref(kN), z1_ref(kN), sq_ref(kN);
   scalar.gauss_tail(u.data(), v.data(), s.data(), z0_ref.data(),
                     z1_ref.data(), kN);
   scalar.square_scale(sq_ref.data(), a.data(), 0.37, kN);
-  scalar.window_diff(wd_ref.data(), hi.data(), lo.data(), kN);
 
   for (const auto b : {simd::Backend::avx2, simd::Backend::neon}) {
     if (!simd::backend_available(b)) continue;
     const auto& kt = b == simd::Backend::avx2 ? simd::detail::avx2_table()
                                               : simd::detail::neon_table();
-    std::vector<Real> z0(kN), z1(kN), sq(kN), wd(kN);
+    std::vector<Real> z0(kN), z1(kN), sq(kN);
     kt.gauss_tail(u.data(), v.data(), s.data(), z0.data(), z1.data(), kN);
     kt.square_scale(sq.data(), a.data(), 0.37, kN);
-    kt.window_diff(wd.data(), hi.data(), lo.data(), kN);
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(z0[i]),
                 std::bit_cast<std::uint64_t>(z0_ref[i]))
@@ -306,9 +324,6 @@ TEST(SimdCrossBackendTest, KernelOutputsBitIdenticalToScalar) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(sq[i]),
                 std::bit_cast<std::uint64_t>(sq_ref[i]))
           << kt.name << " square_scale[" << i << "]";
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(wd[i]),
-                std::bit_cast<std::uint64_t>(wd_ref[i]))
-          << kt.name << " window_diff[" << i << "]";
     }
   }
 }

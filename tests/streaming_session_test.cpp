@@ -13,6 +13,7 @@
 #include "core/streaming.hpp"
 #include "runtime/session.hpp"
 #include "sim/stream_parity.hpp"
+#include "support/recon_oracle.hpp"
 #include "uwb/streaming_link.hpp"
 
 namespace {
@@ -69,6 +70,13 @@ TEST_P(StreamChunkParityTest, PerChannelStreamingMatchesBatchExactly) {
                            << GetParam() << ")";
   EXPECT_GT(r.events_batch, 10u);  // the link actually carried traffic
   EXPECT_GT(r.arv_samples, 0u);
+  // Batch and streaming share one reconstruction core; the envelope is
+  // also held against the independent whole-record oracle.
+  EXPECT_EQ(test_support::first_oracle_mismatch(
+                r.stream_events, r.stream_arv, rec.emg_v.duration_s(),
+                sim::datc_reconstruction_config(eval), *test_calibration()),
+            -1)
+      << "chunk " << GetParam();
 }
 
 // 0 = whole record in one chunk.
@@ -96,6 +104,11 @@ TEST_P(SharedStreamParityTest, SharedAerStreamingMatchesBatchExactly) {
   EXPECT_TRUE(r.arv_equal) << "ARV diverged by " << r.max_abs_arv_diff
                            << " (chunk " << GetParam() << ")";
   EXPECT_GT(r.events_batch, 40u);
+  EXPECT_EQ(test_support::first_oracle_mismatch(
+                r.stream_events, r.stream_arv, chans[0].duration_s(),
+                sim::datc_reconstruction_config(eval), *test_calibration()),
+            -1)
+      << "chunk " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, SharedStreamParityTest,
