@@ -29,13 +29,13 @@ int main(int argc, char** argv) {
               rec.emg_v.sample_rate_hz(), spec.gain_v);
 
   // Body-area IR-UWB link: 1 m, mild pulse loss.
-  sim::LinkConfig link;
+  uwb::LinkConfig link;
   link.modulator.shape.amplitude_v = 0.5;
   link.channel.distance_m = 1.0;
   link.channel.ref_loss_db = 35.0;
   link.channel.erasure_prob = 0.02;
 
-  const sim::EvalConfig eval_cfg;
+  const emg::EvalConfig eval_cfg;
   const sim::EndToEnd e2e(eval_cfg, link);
 
   const auto datc_run = e2e.run_datc(rec);

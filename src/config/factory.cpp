@@ -6,6 +6,7 @@
 #include "core/symbols.hpp"
 #include "emg/artifacts.hpp"
 #include "emg/dataset.hpp"
+#include "emg/evaluation.hpp"
 #include "emg/fatigue.hpp"
 #include "emg/force_profile.hpp"
 #include "emg/generator.hpp"
@@ -28,8 +29,8 @@ PipelineFactory::PipelineFactory(ScenarioSpec spec)
   spec_.validate_or_throw();
 }
 
-sim::EvalConfig PipelineFactory::eval_config() const {
-  sim::EvalConfig eval;
+emg::EvalConfig PipelineFactory::eval_config() const {
+  emg::EvalConfig eval;
   eval.window_s = spec_.encoder.window_s;
   eval.datc_clock_hz = spec_.encoder.clock_hz;
   eval.dtc.dac_bits = spec_.encoder.dac_bits;
@@ -44,8 +45,8 @@ sim::EvalConfig PipelineFactory::eval_config() const {
   return eval;
 }
 
-sim::LinkConfig PipelineFactory::link_config() const {
-  sim::LinkConfig link;
+uwb::LinkConfig PipelineFactory::link_config() const {
+  uwb::LinkConfig link;
   link.seed = spec_.link.seed;
   link.modulator.shape.amplitude_v = spec_.link.pulse_amplitude_v;
   link.modulator.symbol_period_s = spec_.link.symbol_period_s;
@@ -59,8 +60,8 @@ sim::LinkConfig PipelineFactory::link_config() const {
   return link;
 }
 
-sim::SharedAerConfig PipelineFactory::shared_config() const {
-  sim::SharedAerConfig shared;
+uwb::SharedAerConfig PipelineFactory::shared_config() const {
+  uwb::SharedAerConfig shared;
   shared.aer.address_bits = spec_.resolved_address_bits();
   shared.aer.min_spacing_s = spec_.aer.min_spacing_s;
   shared.aer.max_queue_delay_s = spec_.aer.max_queue_delay_s;
@@ -84,7 +85,7 @@ core::CalibrationPtr PipelineFactory::calibration() const {
   if (calibration_ == nullptr) {
     const auto eval = eval_config();
     calibration_ = core::shared_rate_calibration(
-        sim::calibration_config(eval, eval.datc_clock_hz));
+        emg::calibration_config(eval, eval.datc_clock_hz));
   }
   return calibration_;
 }

@@ -15,14 +15,15 @@
 #include "config/scenario.hpp"
 #include "core/reconstruct.hpp"
 #include "emg/dataset.hpp"
+#include "emg/evaluation.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "runtime/faulty_session.hpp"
 #include "runtime/pipeline_runner.hpp"
 #include "runtime/session.hpp"
 #include "sim/end_to_end.hpp"
-#include "sim/evaluation.hpp"
 #include "store/recorder.hpp"
+#include "uwb/link_pipeline.hpp"
 
 namespace datc::config {
 
@@ -34,9 +35,9 @@ class PipelineFactory {
   [[nodiscard]] const ScenarioSpec& spec() const { return spec_; }
 
   // ---- derived configuration structs (one mapping each, no restating)
-  [[nodiscard]] sim::EvalConfig eval_config() const;
-  [[nodiscard]] sim::LinkConfig link_config() const;
-  [[nodiscard]] sim::SharedAerConfig shared_config() const;
+  [[nodiscard]] emg::EvalConfig eval_config() const;
+  [[nodiscard]] uwb::LinkConfig link_config() const;
+  [[nodiscard]] uwb::SharedAerConfig shared_config() const;
   [[nodiscard]] runtime::RunnerConfig runner_config() const;
   /// Includes the decode-health thresholds from fault.health_* (disabled
   /// by default, in which case sessions are bit-identical to pre-fault).

@@ -7,7 +7,9 @@
 #include "core/symbols.hpp"
 #include "dsp/stats.hpp"
 #include "emg/dataset.hpp"
+#include "emg/evaluation.hpp"
 #include "runtime/thread_pool.hpp"
+#include "uwb/link_pipeline.hpp"
 #include "uwb/modulator.hpp"
 
 namespace datc::runtime {

@@ -9,8 +9,8 @@
 //    engine), seeded Rng(link.seed ^ i).
 //  - kSharedAer: all encoders contend for ONE radio. The encode stage
 //    fans into an AER arbiter (address + code frames), the merged stream
-//    crosses one channel::propagate instance, and the receiver demuxes
-//    decoded addresses back into per-channel reconstructions.
+//    crosses one uwb::StreamingLink, and the decoded addresses demux
+//    back into per-channel reconstructions.
 //
 // Determinism contract: channel i draws from Rng(link.seed ^ i) (per-
 // channel mode) or the single shared radio draws from Rng(link.seed)

@@ -9,45 +9,15 @@
 #include "runtime/thread_pool.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/link_pipeline.hpp"
-#include "uwb/modulator.hpp"
 #include "uwb/receiver.hpp"
 
 namespace datc::runtime {
 
 namespace {
 
-/// Receiver configuration shared by both session flavours — must mirror
-/// run_datc_over_link / run_aer_over_link exactly.
-uwb::UwbReceiverConfig receiver_config(const SessionConfig& config,
-                                       const uwb::ModulatorConfig& mod,
-                                       unsigned address_bits) {
-  uwb::UwbReceiverConfig rxc;
-  rxc.detector = config.link.detector;
-  rxc.modulator = mod;
-  rxc.address_bits = address_bits;
-  rxc.decode_codes = true;
-  rxc.cache_detection = config.cache_detection;
-  return rxc;
-}
-
-uwb::ModulatorConfig frame_modulator(const SessionConfig& config) {
-  uwb::ModulatorConfig mod = config.link.modulator;
-  mod.code_bits = config.encoder.dtc.dac_bits;
-  return mod;
-}
-
-/// The two link Rng streams, derived exactly as the batch link functions
-/// derive them (channel stream = the seed engine after forking off the
-/// receiver stream).
-struct LinkRngs {
-  dsp::Rng rx;
-  dsp::Rng channel;
-};
-
-LinkRngs link_rngs(std::uint64_t seed) {
-  dsp::Rng rng(seed);
-  dsp::Rng rx = rng.fork();
-  return LinkRngs{rx, rng};
+uwb::LinkConfig with_seed(uwb::LinkConfig link, std::uint64_t seed) {
+  link.seed = seed;
+  return link;
 }
 
 }  // namespace
@@ -78,12 +48,11 @@ StreamingSession::StreamingSession(const SessionConfig& config,
       encoder_(config.encoder, config.analog_fs_hz,
                core::ArenaSink{&events_chunk_},
                static_cast<std::uint16_t>(channel_id & 0xffffu)),
-      modulator_(frame_modulator(config), /*address_bits=*/0),
-      channel_(config.link.channel,
-               link_rngs(config.link.seed ^ channel_id).channel),
-      receiver_(receiver_config(config, frame_modulator(config), 0),
-                config.link.channel,
-                link_rngs(config.link.seed ^ channel_id).rx),
+      // Single-channel frames carry no address field (the channel tag
+      // rides on the event struct only): run_datc_over_link's layout.
+      link_(with_seed(config.link, config.link.seed ^ channel_id),
+            config.encoder.dtc.dac_bits, /*address_bits=*/0,
+            config.cache_detection),
       reconstructor_(config.recon, config.calibration),
       health_(config.health) {
   dsp::require(config_.calibration != nullptr,
@@ -91,20 +60,8 @@ StreamingSession::StreamingSession(const SessionConfig& config,
 }
 
 void StreamingSession::run_link_chunk(Real watermark, bool flush) {
-  // Single-channel frames carry no address field (the channel tag rides
-  // on the event struct only), so the pulse layout is modulate_datc's.
-  tx_chunk_.clear();
-  modulator_.modulate_chunk(events_chunk_.events(), tx_chunk_);
-
-  rx_chunk_.clear();
-  channel_.propagate_chunk(tx_chunk_, watermark, rx_chunk_);
-  if (flush) channel_.flush(rx_chunk_);
-
   decoded_chunk_.clear();
-  receiver_.decode_chunk(rx_chunk_,
-                         flush ? std::numeric_limits<Real>::infinity()
-                               : channel_.release_watermark(),
-                         decoded_chunk_);
+  link_.run_chunk(events_chunk_.events(), watermark, flush, decoded_chunk_);
   events_rx_ += decoded_chunk_.size();
   if (config_.keep_rx_events) {
     for (const auto& e : decoded_chunk_.events()) {
@@ -119,8 +76,8 @@ void StreamingSession::run_link_chunk(Real watermark, bool flush) {
   // code bits (noise decoded as data). The monitor never changes the
   // chain while disabled or healthy, preserving bit-identicality.
   const Real duration = static_cast<Real>(samples_in_) / config_.analog_fs_hz;
-  const std::uint64_t bad_bits = receiver_.stats().false_alarm_bits;
-  health_.observe(flush ? duration : receiver_.event_time_watermark(),
+  const std::uint64_t bad_bits = link_.decode_stats().false_alarm_bits;
+  health_.observe(flush ? duration : link_.event_time_watermark(),
                   decoded_chunk_.size(),
                   static_cast<std::size_t>(bad_bits - last_bad_bits_));
   last_bad_bits_ = bad_bits;
@@ -137,7 +94,7 @@ void StreamingSession::run_link_chunk(Real watermark, bool flush) {
   if (flush) {
     if (samples_in_ > 0) reconstructor_.finish(duration);
   } else {
-    reconstructor_.advance_to(receiver_.event_time_watermark());
+    reconstructor_.advance_to(link_.event_time_watermark());
   }
   const std::size_t before = arv_.size();
   reconstructor_.drain(arv_);
@@ -185,14 +142,14 @@ SessionReport StreamingSession::report() const {
   r.channel = channel_id_;
   r.samples_in = samples_in_;
   r.events_tx = encoder_.events_emitted();
-  r.pulses_tx = modulator_.pulses_emitted();
-  r.pulses_erased = channel_.erased();
+  r.pulses_tx = link_.pulses_tx();
+  r.pulses_erased = link_.pulses_erased();
   r.events_rx = events_rx_;
   r.arv_emitted = arv_emitted_;
   r.events_quarantined = events_quarantined_;
   r.arv_held = arv_held_;
   r.health_trips = health_.trips();
-  r.decode = receiver_.stats();
+  r.decode = link_.decode_stats();
   return r;
 }
 
@@ -204,11 +161,8 @@ SessionReport StreamingSession::take_delta() {
 }
 
 std::size_t StreamingSession::buffered_bytes() const {
-  return channel_.buffered() * sizeof(uwb::PulseEmission) +
-         receiver_.pending() * sizeof(uwb::PulseEmission) +
-         reconstructor_.buffered_bytes() + arv_.capacity() * sizeof(Real) +
-         tx_chunk_.pulses().capacity() * sizeof(uwb::PulseEmission) +
-         rx_chunk_.pulses().capacity() * sizeof(uwb::PulseEmission) +
+  return link_.buffered_bytes() + reconstructor_.buffered_bytes() +
+         arv_.capacity() * sizeof(Real) +
          events_chunk_.capacity() * sizeof(core::Event);
 }
 
@@ -219,11 +173,8 @@ SharedAerStreamingSession::SharedAerStreamingSession(
     std::size_t num_channels)
     : config_(config),
       shared_(shared),
-      modulator_(frame_modulator(config), shared.aer.address_bits),
-      channel_(config.link.channel, link_rngs(config.link.seed).channel),
-      receiver_(receiver_config(config, frame_modulator(config),
-                                shared.aer.address_bits),
-                config.link.channel, link_rngs(config.link.seed).rx),
+      link_(config.link, config.encoder.dtc.dac_bits,
+            shared.aer.address_bits, config.cache_detection),
       health_(config.health) {
   dsp::require(config_.calibration != nullptr,
                "SharedAerStreamingSession: null calibration");
@@ -299,18 +250,9 @@ void SharedAerStreamingSession::merge_below(Real watermark) {
 void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
                                                Real recon_watermark_cap,
                                                bool flush) {
-  tx_chunk_.clear();
-  modulator_.modulate_chunk(merged_chunk_.events(), tx_chunk_);
-
-  rx_chunk_.clear();
-  channel_.propagate_chunk(tx_chunk_, merged_watermark, rx_chunk_);
-  if (flush) channel_.flush(rx_chunk_);
-
   decoded_chunk_.clear();
-  receiver_.decode_chunk(rx_chunk_,
-                         flush ? std::numeric_limits<Real>::infinity()
-                               : channel_.release_watermark(),
-                         decoded_chunk_);
+  link_.run_chunk(merged_chunk_.events(), merged_watermark, flush,
+                  decoded_chunk_);
 
   if (event_tee_ && !decoded_chunk_.empty()) {
     event_tee_(decoded_chunk_.events());
@@ -327,7 +269,7 @@ void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
     (e.channel < queues_.size() ? chunk_good : chunk_bad) += 1;
   }
   health_.observe(flush ? duration
-                        : std::min(receiver_.event_time_watermark(),
+                        : std::min(link_.event_time_watermark(),
                                    recon_watermark_cap),
                   chunk_good, chunk_bad);
   const bool hold = !health_.healthy();
@@ -355,7 +297,7 @@ void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
   // record end, but the reconstruction watermark must never exceed the
   // final duration — cap it at the newest sample's record time.
   const Real event_watermark =
-      std::min(receiver_.event_time_watermark(), recon_watermark_cap);
+      std::min(link_.event_time_watermark(), recon_watermark_cap);
   for (std::size_t c = 0; c < reconstructors_.size(); ++c) {
     if (flush) {
       if (samples_in_per_channel_ > 0) reconstructors_[c]->finish(duration);

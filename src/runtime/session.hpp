@@ -38,9 +38,7 @@
 #include "fault/health.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/link_pipeline.hpp"
-#include "uwb/modulator.hpp"
 #include "uwb/receiver.hpp"
-#include "uwb/streaming_link.hpp"
 
 namespace datc::runtime {
 
@@ -143,12 +141,8 @@ class StreamingSession final : public Session {
   std::uint32_t channel_id_;
   core::EventArena events_chunk_;
   core::StreamingDatcEncoderT<core::ArenaSink> encoder_;
-  uwb::StreamingModulator modulator_;
-  uwb::StreamingChannel channel_;
-  uwb::StreamingUwbReceiver receiver_;
+  uwb::StreamingLink link_;
   core::StreamingDatcReconstructor reconstructor_;
-  uwb::PulseTrain tx_chunk_;
-  uwb::PulseTrain rx_chunk_;
   core::EventStream decoded_chunk_;
   std::vector<Real> arv_;
   core::EventStream rx_events_;
@@ -192,16 +186,16 @@ class SharedAerStreamingSession final : public Session {
   [[nodiscard]] const uwb::AerStats& arbiter_stats() const { return arbiter_; }
   [[nodiscard]] const uwb::AerStats& demux_stats() const { return demux_; }
   [[nodiscard]] const uwb::DecodeStats& decode_stats() const {
-    return receiver_.stats();
+    return link_.decode_stats();
   }
   [[nodiscard]] std::size_t num_channels() const { return encoders_.size(); }
   [[nodiscard]] const core::EventStream& rx_events(std::size_t channel) const {
     return rx_events_[channel];
   }
-  [[nodiscard]] std::size_t pulses_tx() const {
-    return modulator_.pulses_emitted();
+  [[nodiscard]] std::size_t pulses_tx() const { return link_.pulses_tx(); }
+  [[nodiscard]] std::size_t pulses_erased() const {
+    return link_.pulses_erased();
   }
-  [[nodiscard]] std::size_t pulses_erased() const { return channel_.erased(); }
   /// Link-wide health monitor (one radio → one monitor; bad = demux
   /// invalid-address outcomes).
   [[nodiscard]] const fault::DecodeHealthMonitor& health() const {
@@ -217,15 +211,11 @@ class SharedAerStreamingSession final : public Session {
   std::vector<std::deque<core::Event>> queues_;  ///< per-channel, pre-merge
   uwb::AerStats arbiter_{};
   Real next_free_{-1.0};
-  uwb::StreamingModulator modulator_;
-  uwb::StreamingChannel channel_;
-  uwb::StreamingUwbReceiver receiver_;
+  uwb::StreamingLink link_;
   std::vector<std::unique_ptr<core::StreamingDatcReconstructor>>
       reconstructors_;
   uwb::AerStats demux_{};
   core::EventStream merged_chunk_;
-  uwb::PulseTrain tx_chunk_;
-  uwb::PulseTrain rx_chunk_;
   core::EventStream decoded_chunk_;
   EventTee event_tee_;
   std::vector<std::vector<Real>> arv_;

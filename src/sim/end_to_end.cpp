@@ -5,15 +5,17 @@
 #include "core/symbols.hpp"
 #include "dsp/stats.hpp"
 #include "emg/dataset.hpp"
+#include "emg/evaluation.hpp"
 #include "runtime/thread_pool.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/channel.hpp"
+#include "uwb/link_pipeline.hpp"
 #include "uwb/modulator.hpp"
 #include "uwb/receiver.hpp"
 
 namespace datc::sim {
 
-EndToEnd::EndToEnd(const EvalConfig& eval, const LinkConfig& link)
+EndToEnd::EndToEnd(const emg::EvalConfig& eval, const uwb::LinkConfig& link)
     : eval_(eval), link_(link) {}
 
 Real EndToEnd::score(const emg::Recording& rec,
@@ -29,17 +31,17 @@ EndToEndResult EndToEnd::run_datc(const emg::Recording& rec) const {
 }
 
 EndToEndResult EndToEnd::run_datc_link(const emg::Recording& rec,
-                                       const LinkConfig& link) const {
+                                       const uwb::LinkConfig& link) const {
   EndToEndResult out;
   out.tx_side = eval_.datc(rec);
 
   // Re-encode to get the event stream (the evaluator only returns scores).
   const auto tx =
-      core::encode_datc(rec.emg_v, datc_encoder_config(eval_.config()));
+      core::encode_datc(rec.emg_v, emg::datc_encoder_config(eval_.config()));
   const Real duration = rec.emg_v.duration_s();
 
   auto link_run =
-      run_datc_over_link(tx.events, link, eval_.config().dtc.dac_bits);
+      uwb::run_datc_over_link(tx.events, link, eval_.config().dtc.dac_bits);
   out.pulses_tx = link_run.pulses_tx;
   out.pulses_erased = link_run.pulses_erased;
   out.events_rx = link_run.events_rx.size();
@@ -57,7 +59,7 @@ std::vector<EndToEndResult> EndToEnd::run_datc_batch(
     std::span<const emg::Recording> recs, std::size_t jobs) const {
   std::vector<EndToEndResult> out(recs.size());
   const auto one = [this, &recs, &out](std::size_t i) {
-    LinkConfig lc = link_;
+    uwb::LinkConfig lc = link_;
     lc.seed = link_.seed ^ static_cast<std::uint64_t>(i);
     out[i] = run_datc_link(recs[i], lc);
   };
@@ -83,17 +85,15 @@ EndToEndResult EndToEnd::run_atc(const emg::Recording& rec,
   const auto train = uwb::modulate_atc(tx.events, link_.modulator);
   out.pulses_tx = train.size();
 
-  // RX stream forked before propagation — see run_datc_over_link.
-  dsp::Rng rng(link_.seed);
-  dsp::Rng rx_rng = rng.fork();
-  const auto ch = uwb::propagate(train, link_.channel, rng);
+  auto rngs = uwb::link_rngs(link_.seed);
+  const auto ch = uwb::propagate(train, link_.channel, rngs.channel);
   out.pulses_erased = ch.erased;
 
   uwb::UwbReceiverConfig rxc;
   rxc.detector = link_.detector;
   rxc.modulator = link_.modulator;
   rxc.decode_codes = false;
-  uwb::UwbReceiver rx(rxc, link_.channel, rx_rng);
+  uwb::UwbReceiver rx(rxc, link_.channel, rngs.rx);
   auto events_rx = rx.decode(ch.received);
   events_rx.sort_by_time();
   out.events_rx = events_rx.size();

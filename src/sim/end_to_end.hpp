@@ -10,26 +10,17 @@
 #include <vector>
 
 #include "emg/dataset.hpp"
-#include "sim/evaluation.hpp"
+#include "emg/evaluation.hpp"
 #include "uwb/link_pipeline.hpp"
 #include "uwb/receiver.hpp"
 
 namespace datc::sim {
 
-// The link stage itself lives in uwb/link_pipeline.* (the radio owns
-// its pipeline); sim re-exports the names so scenario code and the
-// benches keep reading as one vocabulary.
-// datc-lint: allow(include-unused) — re-export of uwb/link_pipeline.hpp.
-using uwb::DatcLinkRun;
-using uwb::LinkConfig;
-using uwb::run_aer_over_link;
-using uwb::run_datc_over_link;
-using uwb::SharedAerConfig;
-using uwb::SharedAerRun;
+using dsp::Real;
 
 struct EndToEndResult {
-  SchemeEvaluation tx_side;       ///< scoring with ideal (lossless) link
-  SchemeEvaluation rx_side;       ///< scoring after the UWB link
+  emg::SchemeEvaluation tx_side;  ///< scoring with ideal (lossless) link
+  emg::SchemeEvaluation rx_side;  ///< scoring after the UWB link
   std::size_t pulses_tx{0};
   std::size_t pulses_erased{0};
   std::size_t events_rx{0};
@@ -38,7 +29,7 @@ struct EndToEndResult {
 
 class EndToEnd {
  public:
-  EndToEnd(const EvalConfig& eval, const LinkConfig& link);
+  EndToEnd(const emg::EvalConfig& eval, const uwb::LinkConfig& link);
 
   /// D-ATC over the configured link.
   [[nodiscard]] EndToEndResult run_datc(const emg::Recording& rec) const;
@@ -56,18 +47,18 @@ class EndToEnd {
   [[nodiscard]] std::vector<EndToEndResult> run_datc_batch(
       std::span<const emg::Recording> recs, std::size_t jobs = 1) const;
 
-  [[nodiscard]] const Evaluator& evaluator() const { return eval_; }
-  [[nodiscard]] const LinkConfig& link() const { return link_; }
+  [[nodiscard]] const emg::Evaluator& evaluator() const { return eval_; }
+  [[nodiscard]] const uwb::LinkConfig& link() const { return link_; }
 
  private:
-  Evaluator eval_;
-  LinkConfig link_;
+  emg::Evaluator eval_;
+  uwb::LinkConfig link_;
 
   [[nodiscard]] Real score(const emg::Recording& rec,
                            const std::vector<Real>& recon) const;
 
   [[nodiscard]] EndToEndResult run_datc_link(const emg::Recording& rec,
-                                             const LinkConfig& link) const;
+                                             const uwb::LinkConfig& link) const;
 };
 
 }  // namespace datc::sim

@@ -11,10 +11,14 @@
 #include <string>
 #include <vector>
 
-#include "sim/end_to_end.hpp"
+#include "dsp/types.hpp"
+#include "emg/evaluation.hpp"
 #include "uwb/aer.hpp"
+#include "uwb/link_pipeline.hpp"
 
 namespace datc::sim {
+
+using dsp::Real;
 
 struct LinkSweepConfig {
   LinkSweepConfig();            ///< sets the body-area link defaults below
@@ -31,9 +35,9 @@ struct LinkSweepConfig {
   /// Extra channel-count axis; empty means just {channels}. Counts larger
   /// than `channels` are rejected.
   std::vector<std::size_t> channel_counts{};
-  SharedAerConfig shared{};
-  EvalConfig eval{};
-  LinkConfig link{};  ///< base link; distance/pfa overwritten per point
+  uwb::SharedAerConfig shared{};
+  emg::EvalConfig eval{};
+  uwb::LinkConfig link{};  ///< base link; distance/pfa overwritten per point
   /// RX->TX event matching window for the drop/address-error accounting;
   /// <= 0 selects half the arbiter slot (unique match per on-air event).
   Real match_window_s{0.0};

@@ -1,10 +1,11 @@
 #include "dsp/types.hpp"
 #include "uwb/channel.hpp"
 #include "uwb/modulator.hpp"
+#include "uwb/streaming_link.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstddef>
-#include <vector>
+#include <limits>
 
 namespace datc::uwb {
 
@@ -37,46 +38,14 @@ Real noise_rms_v(const ChannelConfig& config, Real bw_hz) {
 
 ChannelResult propagate(const PulseTrain& tx, const ChannelConfig& config,
                         dsp::Rng& rng) {
-  dsp::require(config.erasure_prob >= 0.0 && config.erasure_prob <= 1.0,
-               "propagate: erasure probability outside [0,1]");
+  StreamingChannel channel(config, rng);
   ChannelResult out;
-  out.received.reserve(tx.size());
-  const Real gain = channel_gain(config);
-  if (config.erasure_prob <= 0.0) {
-    // Erasure-free channel: the jitter draws are the only Rng consumption,
-    // so they batch into one fill_gaussian (identical draw sequence to the
-    // per-pulse split below and to StreamingChannel's chunked fills — the
-    // batch/streaming parity tests hold on this stream by construction).
-    std::vector<Real> jitter;
-    if (config.jitter_rms_s > 0.0 && tx.size() > 0) {
-      jitter.resize(tx.size());
-      rng.fill_gaussian(jitter);
-    }
-    for (std::size_t i = 0; i < tx.size(); ++i) {
-      PulseEmission rx = tx.pulses()[i];
-      rx.amplitude_v = rx.amplitude_v * gain;
-      if (config.jitter_rms_s > 0.0) {
-        rx.time_s += config.jitter_rms_s * jitter[i];
-      }
-      out.received.add(rx);
-    }
-  } else {
-    for (const auto& p : tx.pulses()) {
-      if (rng.chance(config.erasure_prob)) {
-        ++out.erased;
-        continue;
-      }
-      PulseEmission rx = p;
-      rx.amplitude_v = p.amplitude_v * gain;
-      if (config.jitter_rms_s > 0.0) {
-        // datc-lint: allow(hot-rng) — interleaved with erasure decisions;
-        // see StreamingChannel::propagate_chunk.
-        rx.time_s += config.jitter_rms_s * rng.gaussian_bm();
-      }
-      out.received.add(rx);
-    }
-  }
-  out.received.sort_by_time();
+  // The whole train is one chunk: an infinite watermark releases every
+  // pulse, handing the channel's buffer over without a copy.
+  channel.propagate_chunk(tx, std::numeric_limits<Real>::infinity(),
+                          out.received);
+  out.erased = channel.erased();
+  rng = channel.rng();
   return out;
 }
 

@@ -37,7 +37,9 @@ struct ChannelResult {
   std::size_t erased{0};
 };
 
-/// Propagates a pulse train through the channel.
+/// Propagates a whole pulse train through the channel: one chunk of
+/// StreamingChannel (uwb/streaming_link.hpp), the one per-pulse channel
+/// model. Draws from `rng` and leaves it advanced past every draw.
 [[nodiscard]] ChannelResult propagate(const PulseTrain& tx,
                                       const ChannelConfig& config,
                                       dsp::Rng& rng);

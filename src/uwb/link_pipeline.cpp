@@ -1,40 +1,92 @@
 #include "uwb/link_pipeline.hpp"
 
+#include <limits>
+
 #include "dsp/rng.hpp"
 #include "uwb/aer.hpp"
-#include "uwb/channel.hpp"
 #include "uwb/modulator.hpp"
 #include "uwb/receiver.hpp"
+#include "uwb/streaming_link.hpp"
 
 namespace datc::uwb {
+
+namespace {
+
+constexpr Real kInf = std::numeric_limits<Real>::infinity();
+
+ModulatorConfig frame_layout(const LinkConfig& link, unsigned code_bits) {
+  ModulatorConfig mod = link.modulator;
+  mod.code_bits = code_bits;
+  return mod;
+}
+
+/// The receiver decodes the frames `mod` emits.
+UwbReceiverConfig receiver_config(const LinkConfig& link,
+                                  const ModulatorConfig& mod,
+                                  unsigned address_bits,
+                                  bool cache_detection) {
+  UwbReceiverConfig rxc;
+  rxc.detector = link.detector;
+  rxc.modulator = mod;
+  rxc.address_bits = address_bits;
+  rxc.decode_codes = true;
+  rxc.cache_detection = cache_detection;
+  return rxc;
+}
+
+}  // namespace
+
+LinkRngs link_rngs(std::uint64_t seed) {
+  dsp::Rng rng(seed);
+  dsp::Rng rx = rng.fork();
+  return LinkRngs{rng, rx};
+}
+
+StreamingLink::StreamingLink(const LinkConfig& link, unsigned code_bits,
+                             unsigned address_bits, bool cache_detection)
+    : StreamingLink(link, code_bits, address_bits, cache_detection,
+                    link_rngs(link.seed)) {}
+
+StreamingLink::StreamingLink(const LinkConfig& link, unsigned code_bits,
+                             unsigned address_bits, bool cache_detection,
+                             LinkRngs rngs)
+    : modulator_(frame_layout(link, code_bits), address_bits),
+      channel_(link.channel, rngs.channel),
+      receiver_(receiver_config(link, modulator_.config(), address_bits,
+                                cache_detection),
+                link.channel, rngs.rx) {}
+
+void StreamingLink::run_chunk(std::span<const core::Event> events,
+                              Real watermark, bool flush,
+                              core::EventStream& out) {
+  tx_.clear();
+  // Worst case: every slot of every frame carries a pulse.
+  tx_.reserve(events.size() * (1 + modulator_.address_bits() +
+                               modulator_.config().code_bits));
+  modulator_.modulate_chunk(events, tx_);
+  rx_.clear();
+  channel_.propagate_chunk(tx_, watermark, rx_);
+  if (flush) channel_.flush(rx_);
+  receiver_.decode_chunk(rx_, flush ? kInf : channel_.release_watermark(),
+                         out);
+}
+
+std::size_t StreamingLink::buffered_bytes() const {
+  return (channel_.buffered() + receiver_.pending() +
+          tx_.pulses().capacity() + rx_.pulses().capacity()) *
+         sizeof(PulseEmission);
+}
 
 DatcLinkRun run_datc_over_link(const core::EventStream& tx,
                                const LinkConfig& link, unsigned code_bits,
                                bool cache_detection) {
+  StreamingLink radio(link, code_bits, /*address_bits=*/0, cache_detection);
   DatcLinkRun out;
-  ModulatorConfig mod = link.modulator;
-  mod.code_bits = code_bits;
-  const auto train = modulate_datc(tx, mod);
-  out.pulses_tx = train.size();
-
-  // Both Rng streams derive from the seed BEFORE any propagation draw:
-  // the receiver's stream must not depend on the pulse count consumed by
-  // the channel, or no chunked execution could ever reproduce this run
-  // (the streaming session derives the same two streams up front).
-  dsp::Rng rng(link.seed);
-  dsp::Rng rx_rng = rng.fork();
-  const auto ch = propagate(train, link.channel, rng);
-  out.pulses_erased = ch.erased;
-
-  UwbReceiverConfig rxc;
-  rxc.detector = link.detector;
-  rxc.modulator = mod;
-  rxc.decode_codes = true;
-  rxc.cache_detection = cache_detection;
-  UwbReceiver rx(rxc, link.channel, rx_rng);
-  out.events_rx = rx.decode(ch.received);
-  out.events_rx.sort_by_time();
-  out.decode = rx.stats();
+  out.events_rx.reserve(tx.size());
+  radio.run_chunk(tx.events(), kInf, /*flush=*/true, out.events_rx);
+  out.pulses_tx = radio.pulses_tx();
+  out.pulses_erased = radio.pulses_erased();
+  out.decode = radio.decode_stats();
   return out;
 }
 
@@ -62,28 +114,13 @@ SharedAerRun run_aer_over_link(const core::EventStream& merged_tx,
   if (shared.ideal_radio) {
     out.merged_rx = out.merged_tx;
   } else {
-    ModulatorConfig mod = link.modulator;
-    mod.code_bits = code_bits;
-    const auto train =
-        modulate_aer(out.merged_tx, mod, shared.aer.address_bits);
-    out.pulses_tx = train.size();
-
-    // RX stream forked before propagation — see run_datc_over_link.
-    dsp::Rng rng(link.seed);
-    dsp::Rng rx_rng = rng.fork();
-    const auto ch = propagate(train, link.channel, rng);
-    out.pulses_erased = ch.erased;
-
-    UwbReceiverConfig rxc;
-    rxc.detector = link.detector;
-    rxc.modulator = mod;
-    rxc.address_bits = shared.aer.address_bits;
-    rxc.decode_codes = true;
-    rxc.cache_detection = shared.cache_detection;
-    UwbReceiver rx(rxc, link.channel, rx_rng);
-    out.merged_rx = rx.decode(ch.received);
-    out.merged_rx.sort_by_time();
-    out.decode = rx.stats();
+    StreamingLink radio(link, code_bits, shared.aer.address_bits,
+                        shared.cache_detection);
+    out.merged_rx.reserve(merged_tx.size());
+    radio.run_chunk(merged_tx.events(), kInf, /*flush=*/true, out.merged_rx);
+    out.pulses_tx = radio.pulses_tx();
+    out.pulses_erased = radio.pulses_erased();
+    out.decode = radio.decode_stats();
   }
 
   out.per_channel_rx = aer_split(out.merged_rx, num_channels, &out.demux);

@@ -1,17 +1,23 @@
 #pragma once
-// The shared TX -> RX link stage: modulate an event stream, propagate it
-// through the channel, decode with the energy-detection receiver. Both
-// the reference pipeline (sim::EndToEnd) and the streaming engine
-// (runtime::PipelineRunner / SessionManager) run their radio through
-// these functions, so the two paths cannot drift.
+// The TX -> RX link: modulate an event stream, propagate it through the
+// channel, decode with the energy-detection receiver. StreamingLink is the
+// one implementation of that chain; the batch link functions below run it
+// as a single whole-stream chunk, and the streaming sessions
+// (runtime/session.hpp) feed it chunk by chunk, so the reference pipeline
+// (sim::EndToEnd), the engine (runtime::PipelineRunner) and the sessions
+// cannot drift.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "core/events.hpp"
+#include "dsp/rng.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/channel.hpp"
 #include "uwb/modulator.hpp"
 #include "uwb/receiver.hpp"
+#include "uwb/streaming_link.hpp"
 
 namespace datc::uwb {
 
@@ -22,8 +28,66 @@ struct LinkConfig {
   std::uint64_t seed{7};
 };
 
-/// One TX -> RX pass over the UWB link: modulate the D-ATC packet stream,
-/// propagate, decode with an energy-detection receiver, sort by time.
+/// The two Rng streams of one link, derived from its seed before any
+/// draw: the receiver stream is forked off first and the channel keeps
+/// the seed engine. The receiver's stream must not depend on how many
+/// draws the channel consumes, or no chunked execution could reproduce a
+/// whole-stream run.
+struct LinkRngs {
+  dsp::Rng channel;
+  dsp::Rng rx;
+};
+
+[[nodiscard]] LinkRngs link_rngs(std::uint64_t seed);
+
+/// The radio chain: StreamingModulator -> StreamingChannel ->
+/// StreamingUwbReceiver, with the Rng streams from link_rngs(link.seed)
+/// and the receiver tuned to the modulator's frame layout. Any chunking
+/// of one event stream decodes exactly what one whole-stream run_chunk
+/// decodes.
+class StreamingLink {
+ public:
+  /// Frames carry `code_bits` threshold bits and, when `address_bits` >
+  /// 0, an AER address field. `cache_detection` memoises the per-pulse
+  /// detection probability (bit-identical output).
+  StreamingLink(const LinkConfig& link, unsigned code_bits,
+                unsigned address_bits, bool cache_detection);
+
+  /// Sends `events` — the next contiguous slice of the TX stream, in
+  /// time order — and appends every event the receiver can finalise to
+  /// `out`. `watermark` promises no later event has an earlier time;
+  /// `flush` ends the stream and closes every open frame.
+  void run_chunk(std::span<const core::Event> events, Real watermark,
+                 bool flush, core::EventStream& out);
+
+  [[nodiscard]] std::size_t pulses_tx() const {
+    return modulator_.pulses_emitted();
+  }
+  [[nodiscard]] std::size_t pulses_erased() const { return channel_.erased(); }
+  /// Cumulative receiver statistics.
+  [[nodiscard]] const DecodeStats& decode_stats() const {
+    return receiver_.stats();
+  }
+  /// Every future decoded event has time_s >= this bound.
+  [[nodiscard]] Real event_time_watermark() const {
+    return receiver_.event_time_watermark();
+  }
+  /// Working-set proxy: held, pending and per-chunk pulse buffers.
+  [[nodiscard]] std::size_t buffered_bytes() const;
+
+ private:
+  StreamingLink(const LinkConfig& link, unsigned code_bits,
+                unsigned address_bits, bool cache_detection, LinkRngs rngs);
+
+  StreamingModulator modulator_;
+  StreamingChannel channel_;
+  StreamingUwbReceiver receiver_;
+  PulseTrain tx_;  ///< this chunk's TX pulses, reused
+  PulseTrain rx_;  ///< this chunk's released pulses, reused
+};
+
+/// One TX -> RX pass over the UWB link: the whole D-ATC event stream as
+/// a single StreamingLink chunk.
 struct DatcLinkRun {
   std::size_t pulses_tx{0};
   std::size_t pulses_erased{0};

@@ -1,6 +1,7 @@
 #include "dsp/types.hpp"
 #include "uwb/modulator.hpp"
 #include "uwb/pulse.hpp"
+#include "uwb/streaming_link.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -16,6 +17,16 @@ void PulseTrain::sort_by_time() {
   // magnitude below the pulse spacing and almost never reorders.
   if (std::is_sorted(pulses_.begin(), pulses_.end(), by_time)) return;
   std::stable_sort(pulses_.begin(), pulses_.end(), by_time);
+}
+
+void PulseTrain::move_front_to(std::size_t n, PulseTrain& out) {
+  if (n == pulses_.size() && out.empty()) {
+    pulses_.swap(out.pulses_);
+    return;
+  }
+  const auto end = pulses_.begin() + static_cast<std::ptrdiff_t>(n);
+  out.pulses_.insert(out.pulses_.end(), pulses_.begin(), end);
+  pulses_.erase(pulses_.begin(), end);
 }
 
 dsp::TimeSeries PulseTrain::render(const PulseShapeConfig& shape, Real t0,
@@ -58,78 +69,19 @@ PulseTrain modulate_atc(const core::EventStream& events,
   return train;
 }
 
-namespace {
-
-/// Appends the OOK pulses of one `width`-bit field whose first slot is
-/// `first_slot` (slot 0 is the marker).
-void emit_field(PulseTrain& train, const ModulatorConfig& config, Real t0,
-                std::uint32_t value, unsigned width, unsigned first_slot,
-                std::uint32_t id) {
-  for (unsigned b = 0; b < width; ++b) {
-    const unsigned bit_index = config.msb_first ? width - 1 - b : b;
-    if (((value >> bit_index) & 1u) == 0) continue;  // OOK: silence for 0
-    const Real t =
-        t0 + static_cast<Real>(first_slot + b) * config.symbol_period_s;
-    train.add(PulseEmission{t, config.shape.amplitude_v, id,
-                            /*is_marker=*/false});
-  }
-}
-
-}  // namespace
-
-namespace detail {
-
-void emit_frame(PulseTrain& train, const ModulatorConfig& config,
-                unsigned address_bits, const core::Event& event,
-                std::uint32_t id) {
-  // With no address field the frame is a plain D-ATC packet; the event's
-  // channel tag is simply not transmitted (modulate_datc semantics).
-  dsp::require(address_bits == 0 || address_bits == 16 ||
-                   event.channel < (std::uint32_t{1} << address_bits),
-               "modulate_aer: event address outside the address space");
-  train.add(PulseEmission{event.time_s, config.shape.amplitude_v, id,
-                          /*is_marker=*/true});
-  emit_field(train, config, event.time_s, event.channel, address_bits,
-             /*first_slot=*/1, id);
-  emit_field(train, config, event.time_s, event.vth_code, config.code_bits,
-             /*first_slot=*/1 + address_bits, id);
-}
-
-}  // namespace detail
-
 PulseTrain modulate_datc(const core::EventStream& events,
                          const ModulatorConfig& config) {
-  dsp::require(config.symbol_period_s > 0.0,
-               "modulate_datc: symbol period must be positive");
-  dsp::require(config.code_bits >= 1 && config.code_bits <= 8,
-               "modulate_datc: code bits must lie in [1,8]");
-  PulseTrain train;
-  // Worst case one marker plus all code bits set per event.
-  train.reserve(events.size() * (1 + config.code_bits));
-  std::uint32_t id = 0;
-  for (const auto& e : events.events()) {
-    detail::emit_frame(train, config, /*address_bits=*/0, e, id);
-    ++id;
-  }
-  return train;
+  return modulate_aer(events, config, /*address_bits=*/0);
 }
 
 PulseTrain modulate_aer(const core::EventStream& events,
                         const ModulatorConfig& config,
                         unsigned address_bits) {
-  dsp::require(config.symbol_period_s > 0.0,
-               "modulate_aer: symbol period must be positive");
-  dsp::require(config.code_bits >= 1 && config.code_bits <= 8,
-               "modulate_aer: code bits must lie in [1,8]");
-  dsp::require(address_bits <= 16,
-               "modulate_aer: address bits must lie in [0,16]");
+  StreamingModulator modulator(config, address_bits);
   PulseTrain train;
+  // Worst case: every slot of every frame carries a pulse.
   train.reserve(events.size() * (1 + address_bits + config.code_bits));
-  std::uint32_t id = 0;
-  for (const auto& e : events.events()) {
-    detail::emit_frame(train, config, address_bits, e, id);
-    ++id;
-  }
+  modulator.modulate_chunk(events.events(), train);
   return train;
 }
 

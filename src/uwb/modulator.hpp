@@ -35,6 +35,10 @@ class PulseTrain {
   /// streaming paths).
   void clear() { pulses_.clear(); }
 
+  /// Moves the first `n` pulses to the end of `out`. Moving the whole
+  /// train into an empty `out` swaps the storage instead of copying it.
+  void move_front_to(std::size_t n, PulseTrain& out);
+
   /// Renders the train into a sampled waveform over [t0, t1) at fs_hz.
   /// Meant for short PSD-analysis windows — rendering 20 s at 20 GS/s is
   /// deliberately not supported (throws above `max_samples`).
@@ -66,21 +70,11 @@ struct ModulatorConfig {
 /// slots — `1 + address_bits + code_bits` slots per event, matching
 /// aer_symbols_per_event. Bit order of both fields follows
 /// `config.msb_first`. With address_bits == 0 this is modulate_datc.
+/// Both are whole-stream calls of StreamingModulator
+/// (uwb/streaming_link.hpp), the one frame emitter.
 [[nodiscard]] PulseTrain modulate_aer(const core::EventStream& events,
                                       const ModulatorConfig& config,
                                       unsigned address_bits);
-
-namespace detail {
-
-/// Appends one event's frame — marker, then the optional AER address
-/// field, then the code field — to the train. Shared by the batch
-/// modulators and StreamingModulator so the pulse layout cannot drift
-/// between the two paths.
-void emit_frame(PulseTrain& train, const ModulatorConfig& config,
-                unsigned address_bits, const core::Event& event,
-                std::uint32_t id);
-
-}  // namespace detail
 
 /// Total on-air duration of one D-ATC packet.
 [[nodiscard]] Real packet_duration_s(const ModulatorConfig& config);

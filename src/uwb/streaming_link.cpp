@@ -26,6 +26,25 @@ constexpr Real kJitterSigmas = 12.0;
 
 // ------------------------------------------------------------- modulator
 
+namespace {
+
+/// Appends the OOK pulses of one `width`-bit field whose first slot is
+/// `first_slot` (slot 0 is the marker).
+void emit_field(PulseTrain& train, const ModulatorConfig& config, Real t0,
+                std::uint32_t value, unsigned width, unsigned first_slot,
+                std::uint32_t id) {
+  for (unsigned b = 0; b < width; ++b) {
+    const unsigned bit_index = config.msb_first ? width - 1 - b : b;
+    if (((value >> bit_index) & 1u) == 0) continue;  // OOK: silence for 0
+    const Real t =
+        t0 + static_cast<Real>(first_slot + b) * config.symbol_period_s;
+    train.add(PulseEmission{t, config.shape.amplitude_v, id,
+                            /*is_marker=*/false});
+  }
+}
+
+}  // namespace
+
 StreamingModulator::StreamingModulator(const ModulatorConfig& config,
                                        unsigned address_bits)
     : config_(config), address_bits_(address_bits) {
@@ -41,7 +60,18 @@ void StreamingModulator::modulate_chunk(std::span<const core::Event> events,
                                         PulseTrain& train) {
   const std::size_t before = train.size();
   for (const auto& e : events) {
-    detail::emit_frame(train, config_, address_bits_, e, next_id_);
+    // With no address field the frame is a plain D-ATC packet; the
+    // event's channel tag is simply not transmitted.
+    dsp::require(address_bits_ == 0 || address_bits_ == 16 ||
+                     e.channel < (std::uint32_t{1} << address_bits_),
+                 "StreamingModulator: event address outside the address "
+                 "space");
+    train.add(PulseEmission{e.time_s, config_.shape.amplitude_v, next_id_,
+                            /*is_marker=*/true});
+    emit_field(train, config_, e.time_s, e.channel, address_bits_,
+               /*first_slot=*/1, next_id_);
+    emit_field(train, config_, e.time_s, e.vth_code, config_.code_bits,
+               /*first_slot=*/1 + address_bits_, next_id_);
     ++next_id_;
   }
   pulses_ += train.size() - before;
@@ -57,37 +87,35 @@ StreamingChannel::StreamingChannel(const ChannelConfig& config, dsp::Rng rng)
       release_watermark_(kNegInf) {
   dsp::require(config_.erasure_prob >= 0.0 && config_.erasure_prob <= 1.0,
                "StreamingChannel: erasure probability outside [0,1]");
+  dsp::require(std::isfinite(config_.jitter_rms_s) &&
+                   config_.jitter_rms_s >= 0.0,
+               "StreamingChannel: jitter RMS must be finite and "
+               "non-negative");
 }
 
 void StreamingChannel::propagate_chunk(const PulseTrain& tx, Real tx_watermark,
                                        PulseTrain& out) {
-  // Per-pulse draws in TX (packet) order — the exact sequence the batch
-  // propagate() consumes.
   const std::size_t n = tx.size();
+  buffer_.reserve(buffer_.size() + n);
   if (config_.erasure_prob <= 0.0) {
     // No erasure decisions interleave with the jitter stream, so the whole
     // chunk's Gaussians batch into one fill (Rng::fill_gaussian draws the
     // identical sequence as per-pulse gaussian_bm() calls — the default
     // jittered channel never touches the scalar polar tail).
-    pulses_in_ += n;
     if (config_.jitter_rms_s > 0.0 && n > 0) {
       jitter_scratch_.resize(n);
       rng_.fill_gaussian(jitter_scratch_);
     }
-    buffer_.reserve(buffer_.size() + n);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto& p = tx.pulses()[i];
-      PulseEmission rx = p;
-      rx.amplitude_v = p.amplitude_v * gain_;
+      PulseEmission rx = tx.pulses()[i];
+      rx.amplitude_v = rx.amplitude_v * gain_;
       if (config_.jitter_rms_s > 0.0) {
         rx.time_s += config_.jitter_rms_s * jitter_scratch_[i];
       }
-      buffer_.push_back(Held{rx, next_seq_++});
+      buffer_.add(rx);
     }
   } else {
     for (const auto& p : tx.pulses()) {
-      ++pulses_in_;
-      const std::uint64_t seq = next_seq_++;
       if (rng_.chance(config_.erasure_prob)) {
         ++erased_;
         continue;
@@ -99,7 +127,7 @@ void StreamingChannel::propagate_chunk(const PulseTrain& tx, Real tx_watermark,
         // jitter stream, so the draws cannot batch without reordering them.
         rx.time_s += config_.jitter_rms_s * rng_.gaussian_bm();
       }
-      buffer_.push_back(Held{rx, seq});
+      buffer_.add(rx);
     }
   }
   release_below(tx_watermark - jitter_slack_, out);
@@ -112,23 +140,16 @@ void StreamingChannel::flush(PulseTrain& out) {
 void StreamingChannel::release_below(Real threshold, PulseTrain& out) {
   if (threshold <= release_watermark_) return;  // watermark is monotone
   release_watermark_ = threshold;
-  // (time, seq) ordering == the batch stable sort by time over TX order.
-  // Keys are unique (seq is), so the sorted order is a unique permutation
-  // and skipping an already-sorted buffer is exact — the common case,
-  // since jitter is far below the pulse spacing.
-  const auto by_time_seq = [](const Held& a, const Held& b) {
-    return a.pulse.time_s != b.pulse.time_s ? a.pulse.time_s < b.pulse.time_s
-                                            : a.seq < b.seq;
-  };
-  if (!std::is_sorted(buffer_.begin(), buffer_.end(), by_time_seq)) {
-    std::sort(buffer_.begin(), buffer_.end(), by_time_seq);
-  }
-  std::size_t n = 0;
-  while (n < buffer_.size() && buffer_[n].pulse.time_s < threshold) {
-    out.add(buffer_[n].pulse);
-    ++n;
-  }
-  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<long>(n));
+  // The held prefix is already time-sorted and new pulses were appended
+  // in TX order, so this stable sort yields exactly the order of one
+  // stable sort over the whole received train.
+  buffer_.sort_by_time();
+  const auto& held = buffer_.pulses();
+  const auto first_kept = std::partition_point(
+      held.begin(), held.end(),
+      [threshold](const PulseEmission& p) { return p.time_s < threshold; });
+  buffer_.move_front_to(static_cast<std::size_t>(first_kept - held.begin()),
+                        out);
 }
 
 // -------------------------------------------------------------- receiver

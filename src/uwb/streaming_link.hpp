@@ -1,12 +1,15 @@
 #pragma once
-// Streaming (chunked, bounded-memory) counterparts of the batch UWB link
-// stages: event -> pulse modulation, channel propagation and packet
-// decode. Every stage carries its state (packet ids, Rng streams, reorder
-// and reassembly buffers) across calls and is bit-identical to its batch
-// counterpart for ANY chunking of the same input — the property the
-// streaming session layer (runtime/session.hpp) is built on.
+// The UWB link stages — event -> pulse modulation, channel propagation
+// and packet decode — in their one, chunked form. Every stage carries its
+// state (packet ids, Rng streams, reorder and reassembly buffers) across
+// calls, so any chunking of an input produces exactly the output of one
+// whole-stream call. There is no second, batch implementation: the batch
+// entry points (modulate_datc / modulate_aer, propagate, UwbReceiver) are
+// one-chunk adapters over these classes, and uwb::StreamingLink
+// (uwb/link_pipeline.hpp) chains the three for every link caller — the
+// batch link functions and both streaming sessions alike.
 //
-// The bit-identicality hinges on two disciplines:
+// Chunk invariance rests on two disciplines:
 //
 //  1. Watermarks. Each stage receives, along with its input chunk, a time
 //     `watermark` promising that no future input item carries a timestamp
@@ -14,14 +17,10 @@
 //     (no future item can sort before them / land in their packet
 //     window), so chunk boundaries can never change what is emitted.
 //
-//  2. Split Rng streams. The batch receiver used to draw all per-pulse
-//     detection randoms, then all per-frame false-alarm randoms, from one
-//     engine — an order no chunked execution can reproduce. The receiver
-//     now derives two independent streams from its seed Rng (detection in
-//     pulse order, false alarms in frame order); each stream's draw order
-//     is chunk-invariant, so batch and streaming consume identical
-//     sequences. UwbReceiver (uwb/receiver.hpp) is a thin batch wrapper
-//     over this core, making the equivalence hold by construction.
+//  2. Split Rng streams. Every draw comes from a stream whose order is
+//     fixed by the data, never by the chunking: the channel draws per TX
+//     pulse in packet order, the receiver draws detections in pulse order
+//     and false alarms in frame order, each from its own forked stream.
 
 #include <cstdint>
 #include <span>
@@ -35,10 +34,10 @@
 
 namespace datc::uwb {
 
-/// Chunked event -> pulse modulation (D-ATC packets, optionally with an
-/// AER address field). Stateless except for the diagnostic packet-id
-/// counter; concatenating the chunk outputs reproduces modulate_datc /
-/// modulate_aer on the concatenated events exactly.
+/// Chunked event -> pulse modulation: one frame per event — marker, then
+/// the optional AER address field, then the Set_Vth code field, each in
+/// OOK bit slots. Stateless except for the diagnostic packet-id counter;
+/// modulate_datc / modulate_aer are single-chunk calls of this class.
 class StreamingModulator {
  public:
   explicit StreamingModulator(const ModulatorConfig& config,
@@ -62,22 +61,26 @@ class StreamingModulator {
 
 /// Chunked channel propagation with carried Rng and a reorder buffer.
 ///
-/// The batch `propagate` draws per-pulse randoms in TX (packet) order and
-/// then stable-sorts the received train by time. This class draws in the
-/// same order and releases received pulses in exactly that stable-sorted
-/// order, holding back any pulse a future TX pulse could still sort
-/// before. Jitter is Gaussian (unbounded), so the hold-back slack is a
-/// 12-sigma bound: a larger excursion would break batch parity with
+/// Per-pulse randoms (erasure, then jitter) are drawn in TX (packet)
+/// order, and received pulses are released in the order a stable sort by
+/// time over the whole received train would give, holding back any pulse
+/// a future TX pulse could still sort before. Jitter is Gaussian
+/// (unbounded), so the hold-back slack is a 12-sigma bound: a larger
+/// excursion would make the output depend on the chunking with
 /// probability ~1e-33 per pulse — far below anything a test or a seed
 /// sweep can encounter, and exactly zero for jitter-free channels.
+/// `propagate` is the single-chunk call of this class.
 class StreamingChannel {
  public:
+  /// Throws unless erasure_prob lies in [0,1] and jitter_rms_s is finite
+  /// and non-negative (a negative slack would release pulses a later
+  /// chunk sorts before; NaN times break the sort's ordering).
   StreamingChannel(const ChannelConfig& config, dsp::Rng rng);
 
-  /// Propagates the chunk's TX pulses (in packet order, exactly as the
-  /// batch train is laid out) and advances the TX-time watermark: the
-  /// caller promises every future TX pulse has time_s >= tx_watermark.
-  /// Received pulses that are provably final are appended to `out`.
+  /// Propagates the chunk's TX pulses (in packet order, as the modulator
+  /// lays them out) and advances the TX-time watermark: the caller
+  /// promises every future TX pulse has time_s >= tx_watermark. Received
+  /// pulses that are provably final are appended to `out`.
   void propagate_chunk(const PulseTrain& tx, Real tx_watermark,
                        PulseTrain& out);
 
@@ -87,24 +90,21 @@ class StreamingChannel {
   /// Every future released pulse has time_s >= this bound.
   [[nodiscard]] Real release_watermark() const { return release_watermark_; }
   [[nodiscard]] std::size_t erased() const { return erased_; }
-  [[nodiscard]] std::size_t pulses_in() const { return pulses_in_; }
   [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+  /// The carried stream, advanced past every draw made so far.
+  [[nodiscard]] const dsp::Rng& rng() const { return rng_; }
 
  private:
-  struct Held {
-    PulseEmission pulse;
-    std::uint64_t seq;  ///< TX order, the stable-sort tie break
-  };
-
   ChannelConfig config_;
   dsp::Rng rng_;
   Real gain_;
   Real jitter_slack_;
-  std::vector<Held> buffer_;
+  /// Received, unreleased pulses. Sorted by time after every release;
+  /// new pulses are appended in TX order, so a stable sort by time
+  /// reproduces the whole-train order exactly.
+  PulseTrain buffer_;
   std::vector<Real> jitter_scratch_;  ///< batched jitter draws, reused
-  std::uint64_t next_seq_{0};
   std::size_t erased_{0};
-  std::size_t pulses_in_{0};
   Real release_watermark_{0.0};
 
   void release_below(Real threshold, PulseTrain& out);

@@ -124,8 +124,8 @@ TEST(PipelineRunner, FastPathMatchesReferenceEndToEnd) {
 
 TEST(PipelineRunner, BatchApiIsJobCountInvariant) {
   const auto recs = make_channels(4, 1.5);
-  const sim::EvalConfig eval;
-  sim::LinkConfig link;
+  const emg::EvalConfig eval;
+  uwb::LinkConfig link;
   link.seed = 3;
   const sim::EndToEnd e2e(eval, link);
   const auto serial = e2e.run_datc_batch(recs, 1);
@@ -247,7 +247,7 @@ TEST(PipelineRunner, CachedDetectionMatchesReferenceDecode) {
   // Build a pulse train, run it through both receiver configurations with
   // the same Rng seed; decoded streams must match event-for-event.
   const auto recs = make_channels(1, 2.0);
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   core::DatcEncoderConfig enc;
   enc.dtc = eval.dtc;
   const auto tx = core::encode_datc_events(recs[0].emg_v, enc);

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/end_to_end.hpp"
-#include "sim/evaluation.hpp"
+#include "emg/evaluation.hpp"
 #include "sim/table_writer.hpp"
 
 namespace {
@@ -16,7 +16,7 @@ using namespace datc;
 class EvaluatorTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    eval_ = new sim::Evaluator();
+    eval_ = new emg::Evaluator();
     rec_ = new emg::Recording(emg::showcase_recording());
   }
   static void TearDownTestSuite() {
@@ -25,11 +25,11 @@ class EvaluatorTest : public ::testing::Test {
     eval_ = nullptr;
     rec_ = nullptr;
   }
-  static sim::Evaluator* eval_;
+  static emg::Evaluator* eval_;
   static emg::Recording* rec_;
 };
 
-sim::Evaluator* EvaluatorTest::eval_ = nullptr;
+emg::Evaluator* EvaluatorTest::eval_ = nullptr;
 emg::Recording* EvaluatorTest::rec_ = nullptr;
 
 TEST_F(EvaluatorTest, DatcBeatsAtcOnShowcase) {
@@ -62,7 +62,7 @@ TEST_F(EvaluatorTest, GroundTruthMatchesSignalLength) {
 }
 
 TEST_F(EvaluatorTest, EndToEndLosslessLinkPreservesScore) {
-  sim::LinkConfig link;
+  uwb::LinkConfig link;
   link.modulator.shape.amplitude_v = 0.5;
   link.channel.distance_m = 0.3;
   link.channel.ref_loss_db = 30.0;
@@ -74,11 +74,11 @@ TEST_F(EvaluatorTest, EndToEndLosslessLinkPreservesScore) {
 }
 
 TEST_F(EvaluatorTest, EndToEndErasuresDegradeGracefully) {
-  sim::LinkConfig clean;
+  uwb::LinkConfig clean;
   clean.modulator.shape.amplitude_v = 0.5;
   clean.channel.distance_m = 0.3;
   clean.channel.ref_loss_db = 30.0;
-  sim::LinkConfig lossy = clean;
+  uwb::LinkConfig lossy = clean;
   lossy.channel.erasure_prob = 0.3;
   const sim::EndToEnd a(eval_->config(), clean);
   const sim::EndToEnd b(eval_->config(), lossy);
@@ -92,7 +92,7 @@ TEST_F(EvaluatorTest, EndToEndErasuresDegradeGracefully) {
 }
 
 TEST_F(EvaluatorTest, AtcOverUwbAlsoWorks) {
-  sim::LinkConfig link;
+  uwb::LinkConfig link;
   link.modulator.shape.amplitude_v = 0.5;
   link.channel.distance_m = 0.3;
   link.channel.ref_loss_db = 30.0;
