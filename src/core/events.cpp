@@ -1,4 +1,5 @@
 #include "core/events.hpp"
+#include "dsp/sort.hpp"
 #include "dsp/types.hpp"
 
 #include <algorithm>
@@ -6,10 +7,11 @@
 namespace datc::core {
 
 void EventStream::sort_by_time() {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const Event& a, const Event& b) {
-                     return a.time_s < b.time_s;
-                   });
+  // Callers re-sort streams that are in order or nearly so (receiver
+  // output in marker order, merged channels).
+  dsp::stable_sort_near_sorted(events_, [](const Event& a, const Event& b) {
+    return a.time_s < b.time_s;
+  });
 }
 
 bool EventStream::is_time_sorted() const {

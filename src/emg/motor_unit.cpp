@@ -116,6 +116,9 @@ dsp::TimeSeries MotorUnitPool::synthesize(const ForceProfile& drive) {
         next_spike[u] = kInactive;
         continue;
       }
+      // An active unit with its next spike still ahead has nothing to do
+      // this sample; skipping it spares the per-unit division.
+      if (next_spike[u] > static_cast<Real>(s)) continue;
       const Real mean_isi_samples = fs / rate;
       if (next_spike[u] < 0.0) {
         // Newly recruited: random phase within one ISI.

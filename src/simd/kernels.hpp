@@ -1,12 +1,12 @@
 #pragma once
-// Vector kernel table: the hot elementwise loops of the encode and decode
-// paths, implemented once per backend (scalar reference, AVX2, NEON) with
-// bit-identical results. Every kernel is a pure function over its
-// arguments; the per-backend implementations reproduce the scalar
-// operation sequence exactly (no fma contraction, same rounding at every
-// step), which is what lets the stream-parity harness assert exact
-// equality under DATC_SIMD forcing. Backend selection lives in
-// simd/dispatch.hpp.
+// Vector kernel table: the hot elementwise loops of the encode path and
+// the batched gaussian stream, implemented once per backend (scalar
+// reference, AVX2, NEON) with bit-identical results. Every kernel is a
+// pure function over its arguments; the per-backend implementations
+// reproduce the scalar operation sequence exactly (no fma contraction,
+// same rounding at every step), which is what lets the stream-parity
+// harness assert exact equality under DATC_SIMD forcing. Backend
+// selection lives in simd/dispatch.hpp.
 
 #include <cmath>
 #include <cstddef>
@@ -50,8 +50,6 @@ struct KernelTable {
   /// z0[i] = u[i] * t, z1[i] = v[i] * t.
   void (*gauss_tail)(const Real* u, const Real* v, const Real* s, Real* z0,
                      Real* z1, std::size_t n);
-  /// dst[i] = (c * a[i]) * a[i]  (receiver pulse energy, left-associated).
-  void (*square_scale)(Real* dst, const Real* a, Real c, std::size_t n);
 };
 
 namespace detail {

@@ -140,21 +140,11 @@ void gauss_tail_avx2(const Real* u, const Real* v, const Real* s, Real* z0,
   }
 }
 
-void square_scale_avx2(Real* dst, const Real* a, Real c, std::size_t n) {
-  const __m256d vc = _mm256_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d av = _mm256_loadu_pd(a + i);
-    _mm256_storeu_pd(dst + i, _mm256_mul_pd(_mm256_mul_pd(vc, av), av));
-  }
-  for (; i < n; ++i) dst[i] = c * a[i] * a[i];
-}
-
 }  // namespace
 
 const KernelTable& avx2_table() {
   static const KernelTable table{Backend::avx2, "avx2", cmp_masks_avx2,
-                                 gauss_tail_avx2, square_scale_avx2};
+                                 gauss_tail_avx2};
   return table;
 }
 

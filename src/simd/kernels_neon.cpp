@@ -119,21 +119,11 @@ void gauss_tail_neon(const Real* u, const Real* v, const Real* s, Real* z0,
   }
 }
 
-void square_scale_neon(Real* dst, const Real* a, Real c, std::size_t n) {
-  const float64x2_t vc = vdupq_n_f64(c);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t av = vld1q_f64(a + i);
-    vst1q_f64(dst + i, vmulq_f64(vmulq_f64(vc, av), av));
-  }
-  for (; i < n; ++i) dst[i] = c * a[i] * a[i];
-}
-
 }  // namespace
 
 const KernelTable& neon_table() {
   static const KernelTable table{Backend::neon, "neon", cmp_masks_neon,
-                                 gauss_tail_neon, square_scale_neon};
+                                 gauss_tail_neon};
   return table;
 }
 

@@ -30,17 +30,11 @@ void gauss_tail_scalar(const Real* u, const Real* v, const Real* s, Real* z0,
   }
 }
 
-void square_scale_scalar(Real* dst, const Real* a, Real c, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = c * a[i] * a[i];
-  }
-}
-
 }  // namespace
 
 const KernelTable& scalar_table() {
   static const KernelTable table{Backend::scalar, "scalar", cmp_masks_scalar,
-                                 gauss_tail_scalar, square_scale_scalar};
+                                 gauss_tail_scalar};
   return table;
 }
 

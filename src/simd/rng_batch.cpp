@@ -1,4 +1,4 @@
-// Out-of-line definitions of the Rng polar-gaussian stream (declared in
+// Out-of-line definitions of the Rng gaussian streams (declared in
 // dsp/rng.hpp). They live in simd/ because the batched tail runs through
 // the kernel table — dsp/ stays leaf (no dsp -> simd include edge), and
 // the per-call path shares the identical scalar datc_log so per-call and
@@ -20,6 +20,19 @@
 #include "simd/math.hpp"
 
 namespace datc::dsp {
+
+Real Rng::gaussian(Real mean, Real sigma) {
+  Real x;
+  Real y;
+  Real r2;
+  do {
+    x = 2.0 * canonical64() - 1.0;
+    y = 2.0 * canonical64() - 1.0;
+    r2 = x * x + y * y;
+  } while (!(r2 > 0.0 && r2 <= 1.0));  // libstdc++: r2 > 1 || r2 == 0
+  const Real mult = std::sqrt(-2.0 * std::log(r2) / r2);
+  return y * mult * sigma + mean;
+}
 
 Real Rng::gaussian_bm() {
   if (has_spare_) {

@@ -1,3 +1,4 @@
+#include "dsp/sort.hpp"
 #include "dsp/types.hpp"
 #include "uwb/modulator.hpp"
 #include "uwb/pulse.hpp"
@@ -9,14 +10,13 @@
 namespace datc::uwb {
 
 void PulseTrain::sort_by_time() {
-  const auto by_time = [](const PulseEmission& a, const PulseEmission& b) {
-    return a.time_s < b.time_s;
-  };
-  // Stable sort of an already-sorted range is the identity, so the O(n)
-  // check skips the common case exactly: channel jitter is orders of
-  // magnitude below the pulse spacing and almost never reorders.
-  if (std::is_sorted(pulses_.begin(), pulses_.end(), by_time)) return;
-  std::stable_sort(pulses_.begin(), pulses_.end(), by_time);
+  // Channel jitter only swaps near neighbours (in AER trains a frame's
+  // last slot and the next marker share a nominal instant), so the
+  // near-sorted pass costs O(n + inversions).
+  dsp::stable_sort_near_sorted(
+      pulses_, [](const PulseEmission& a, const PulseEmission& b) {
+        return a.time_s < b.time_s;
+      });
 }
 
 void PulseTrain::move_front_to(std::size_t n, PulseTrain& out) {

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "dsp/types.hpp"
-#include "simd/dispatch.hpp"
 #include "uwb/channel.hpp"
 #include "uwb/modulator.hpp"
 #include "uwb/pulse.hpp"
@@ -154,6 +153,30 @@ void StreamingChannel::release_below(Real threshold, PulseTrain& out) {
 
 // -------------------------------------------------------------- receiver
 
+namespace {
+
+/// Reverses the low 32 bits.
+[[nodiscard]] std::uint32_t reverse_bits(std::uint32_t x) {
+  x = ((x >> 1) & 0x55555555u) | ((x & 0x55555555u) << 1);
+  x = ((x >> 2) & 0x33333333u) | ((x & 0x33333333u) << 2);
+  x = ((x >> 4) & 0x0f0f0f0fu) | ((x & 0x0f0f0f0fu) << 4);
+  x = ((x >> 8) & 0x00ff00ffu) | ((x & 0x00ff00ffu) << 8);
+  return (x >> 16) | (x << 16);
+}
+
+/// The `width`-bit field whose first slot is bit `first` of the frame's
+/// slot mask; the first slot carries the MSB when `msb_first`.
+[[nodiscard]] std::uint32_t slot_field(std::uint32_t slots, unsigned first,
+                                       unsigned width, bool msb_first) {
+  const std::uint32_t raw = (slots >> first) & ((1u << width) - 1u);
+  // The 64-bit shift keeps width == 0 defined (yields 0).
+  const auto reversed = static_cast<std::uint32_t>(
+      std::uint64_t{reverse_bits(raw)} >> (32u - width));
+  return msb_first ? reversed : raw;
+}
+
+}  // namespace
+
 StreamingUwbReceiver::StreamingUwbReceiver(const UwbReceiverConfig& config,
                                            const ChannelConfig& channel,
                                            dsp::Rng rng)
@@ -167,8 +190,20 @@ StreamingUwbReceiver::StreamingUwbReceiver(const UwbReceiverConfig& config,
       rng_frame_(rng.fork()),
       model_(config.detector, channel),
       watermark_(kNegInf) {
+  const Real ts = config_.modulator.symbol_period_s;
+  dsp::require(std::isfinite(ts) && ts > 0.0,
+               "StreamingUwbReceiver: symbol period must be finite and "
+               "positive");
+  // A tolerance of half a slot or more would let a pulse claim a slot
+  // that is not its nearest; NaN would leave every frame open forever.
+  dsp::require(config_.slot_tolerance >= 0.0 && config_.slot_tolerance < 0.5,
+               "StreamingUwbReceiver: slot tolerance must lie in [0, 0.5)");
   dsp::require(config_.address_bits + config_.modulator.code_bits <= 24,
                "StreamingUwbReceiver: frame exceeds 24 bit slots");
+  frame_bits_ = config_.address_bits + config_.modulator.code_bits;
+  frame_span_ = static_cast<Real>(frame_bits_) * ts;
+  slot_tol_ = config_.slot_tolerance * ts;
+  frame_window_ = frame_span_ + slot_tol_;
   PulseShapeConfig unit = config_.modulator.shape;
   unit.amplitude_v = 1.0;
   // Sample the unit pulse finely enough for an accurate energy integral.
@@ -178,40 +213,42 @@ StreamingUwbReceiver::StreamingUwbReceiver(const UwbReceiverConfig& config,
 
 void StreamingUwbReceiver::decode_chunk(const PulseTrain& rx, Real watermark,
                                         core::EventStream& out) {
-  // Stage 1: per-pulse detection, in arrival (global time) order. The
-  // energy map is a pure per-pulse function, so it runs as a batched SoA
-  // pass (square_scale keeps the scalar expression order: (c*a)*a); only
-  // the pd lookup and the sequential Rng decision stay in the loop.
-  const std::size_t n = rx.size();
-  stats_.pulses_in += n;
-  scratch_amp_.resize(n);
-  scratch_energy_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch_amp_[i] = rx.pulses()[i].amplitude_v;
-  }
-  simd::kernels().square_scale(scratch_energy_.data(), scratch_amp_.data(),
-                               unit_pulse_energy_, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Real energy = scratch_energy_[i];
-    Real pd;
+  const auto& pulses = rx.pulses();
+  stats_.pulses_in += pulses.size();
+  watermark_ = std::max(watermark_, watermark);
+  // In a time-sorted chunk no later pulse, in this chunk or (by the
+  // watermark) a later one, arrives before the current pulse, so frames
+  // close as the scan passes them and pending_ stays a few frames long.
+  // An unsorted chunk (a raw train handed to UwbReceiver) closes its
+  // frames only at the end, against the watermark alone.
+  const bool close_in_scan =
+      config_.decode_codes &&
+      std::is_sorted(pulses.begin(), pulses.end(),
+                     [](const PulseEmission& a, const PulseEmission& b) {
+                       return a.time_s < b.time_s;
+                     });
+  // One pass, in arrival order: energy, Pd, then the sequential draw.
+  for (const PulseEmission& p : pulses) {
+    const Real energy = unit_pulse_energy_ * p.amplitude_v * p.amplitude_v;
+    bool detected;
     if (config_.cache_detection) {
       if (energy != cached_energy_) {
         cached_energy_ = energy;
         cached_pd_ = model_.pd(energy);
       }
-      pd = cached_pd_;
+      detected = rng_detect_.chance(cached_pd_);
     } else {
-      pd = model_.pd(energy);
+      detected = rng_detect_.chance(model_.pd(energy));
     }
-    if (!rng_detect_.chance(pd)) continue;
+    if (!detected) continue;
     ++stats_.pulses_detected;
-    if (config_.decode_codes) {
-      pending_.push_back(rx.pulses()[i]);
-    } else {
-      out.add(rx.pulses()[i].time_s, 0);
+    if (!config_.decode_codes) {
+      out.add(p.time_s, 0);
+      continue;
     }
+    if (close_in_scan) close_frames(std::min(p.time_s, watermark_), out);
+    pending_.push_back(p);
   }
-  watermark_ = std::max(watermark_, watermark);
   if (config_.decode_codes) close_frames(watermark_, out);
 }
 
@@ -239,15 +276,11 @@ Real StreamingUwbReceiver::event_time_watermark() const {
 
 void StreamingUwbReceiver::close_frames(Real closable_before,
                                         core::EventStream& out) {
-  const Real ts = config_.modulator.symbol_period_s;
-  const unsigned bits = config_.address_bits + config_.modulator.code_bits;
-  const Real window =
-      static_cast<Real>(bits) * ts + config_.slot_tolerance * ts;
   // A frame closes only when no future pulse can still land in its
   // window: markers open at the oldest unclaimed pulse, exactly as the
   // batch claimed[] scan resumes at the first unclaimed index.
   while (pend_head_ < pending_.size() &&
-         pending_[pend_head_].time_s + window < closable_before) {
+         pending_[pend_head_].time_s + frame_window_ < closable_before) {
     close_front_frame(out);
   }
   // Reclaim the dead prefix once it dominates the buffer; amortised O(1)
@@ -261,59 +294,61 @@ void StreamingUwbReceiver::close_frames(Real closable_before,
 
 void StreamingUwbReceiver::close_front_frame(core::EventStream& out) {
   const Real ts = config_.modulator.symbol_period_s;
-  const unsigned addr_bits = config_.address_bits;
-  const unsigned code_bits = config_.modulator.code_bits;
-  const unsigned bits = addr_bits + code_bits;
-  const Real tol = config_.slot_tolerance * ts;
-
   const std::size_t head = pend_head_;
   const Real t0 = pending_[head].time_s;  // this frame's marker
-  std::uint32_t bit = 0;  // addr_bits + code_bits <= 24, one register
+  const Real window_end = t0 + frame_span_ + slot_tol_;
+  const Real slot_limit = static_cast<Real>(frame_bits_) + 0.5;
+  std::uint32_t bit = 0;  // frame_bits_ <= 24, one register
   // Scan the in-window prefix (pending_ is time-sorted); pulses matching
   // a bit slot are claimed, off-slot pulses stay for the next frame.
   std::size_t scan = head + 1;  // head is the marker
   std::size_t keep = head + 1;
-  while (scan < pending_.size() &&
-         pending_[scan].time_s <= t0 + static_cast<Real>(bits) * ts + tol) {
+  for (; scan < pending_.size() && pending_[scan].time_s <= window_end;
+       ++scan) {
     const Real dt = pending_[scan].time_s - t0;
-    const auto slot = static_cast<long>(std::llround(dt / ts));
-    if (slot >= 1 && slot <= static_cast<long>(bits) &&
-        std::abs(dt - static_cast<Real>(slot) * ts) <= tol) {
-      bit |= 1u << static_cast<unsigned>(slot - 1);
-    } else {
-      pending_[keep++] = pending_[scan];
+    const Real x = dt / ts;
+    // Nearest slot, halves away from zero (std::llround): x lies in
+    // [0.5, bits + 0.5) exactly when that slot is in [1, bits], and there
+    // x - trunc(x) is exact.
+    if (x >= 0.5 && x < slot_limit) {
+      auto slot = static_cast<unsigned>(x);
+      slot += x - static_cast<Real>(slot) >= 0.5 ? 1u : 0u;
+      if (std::abs(dt - static_cast<Real>(slot) * ts) <= slot_tol_) {
+        bit |= 1u << (slot - 1);
+        continue;
+      }
     }
-    ++scan;
+    pending_[keep++] = pending_[scan];
   }
   // Advance the head past the marker and the claimed pulses: the kept
   // unclaimed block [head+1, keep) slides right against the untouched
   // tail at `scan`, so the live window stays contiguous and time-sorted
   // without erasing from the front.
   const std::size_t kept = keep - head - 1;
-  std::copy_backward(pending_.begin() + static_cast<std::ptrdiff_t>(head + 1),
-                     pending_.begin() + static_cast<std::ptrdiff_t>(keep),
-                     pending_.begin() + static_cast<std::ptrdiff_t>(scan));
+  if (kept > 0) {
+    std::copy_backward(
+        pending_.begin() + static_cast<std::ptrdiff_t>(head + 1),
+        pending_.begin() + static_cast<std::ptrdiff_t>(keep),
+        pending_.begin() + static_cast<std::ptrdiff_t>(scan));
+  }
   pend_head_ = scan - kept;
 
-  // False alarms inside empty slots (frame-order Rng stream).
-  for (unsigned b = 0; b < bits; ++b) {
-    if ((bit & (1u << b)) == 0 &&
-        rng_frame_.chance(config_.detector.false_alarm_prob)) {
-      bit |= 1u << b;
+  // False alarms inside empty slots, in slot order (frame-order Rng
+  // stream): one draw per empty slot, lowest slot first.
+  for (std::uint32_t empty = ~bit & ((1u << frame_bits_) - 1u); empty != 0;
+       empty &= empty - 1u) {
+    if (rng_frame_.chance(config_.detector.false_alarm_prob)) {
+      bit |= empty & (0u - empty);
       ++stats_.false_alarm_bits;
     }
   }
-  const auto field = [&](unsigned first, unsigned width) {
-    std::uint32_t v = 0;
-    for (unsigned b = 0; b < width; ++b) {
-      const unsigned bit_index =
-          config_.modulator.msb_first ? width - 1 - b : b;
-      if ((bit & (1u << (first + b))) != 0) v |= (1u << bit_index);
-    }
-    return v;
-  };
-  const auto address = static_cast<std::uint16_t>(field(0, addr_bits));
-  const auto code = static_cast<std::uint8_t>(field(addr_bits, code_bits));
+  const unsigned addr_bits = config_.address_bits;
+  const unsigned code_bits = config_.modulator.code_bits;
+  const bool msb_first = config_.modulator.msb_first;
+  const auto address =
+      static_cast<std::uint16_t>(slot_field(bit, 0, addr_bits, msb_first));
+  const auto code = static_cast<std::uint8_t>(
+      slot_field(bit, addr_bits, code_bits, msb_first));
   out.add(t0, code, address);
   ++stats_.packets_decoded;
 }

@@ -116,6 +116,8 @@ class StreamingChannel {
 /// once. Statistics accumulate across calls (see DecodeStats).
 class StreamingUwbReceiver {
  public:
+  /// Throws unless the symbol period is finite and positive, the slot
+  /// tolerance lies in [0, 0.5) and the frame fits 24 bit slots.
   StreamingUwbReceiver(const UwbReceiverConfig& config,
                        const ChannelConfig& channel, dsp::Rng rng);
 
@@ -153,6 +155,10 @@ class StreamingUwbReceiver {
   DetectionModel model_;  ///< threshold solve hoisted out of the pulse loop
   DecodeStats stats_;
   Real unit_pulse_energy_;  ///< energy of the shape at 1 V peak
+  unsigned frame_bits_{0};  ///< address + code slots after the marker
+  Real frame_span_{0.0};    ///< frame_bits_ * Ts
+  Real slot_tol_{0.0};      ///< slot tolerance in seconds
+  Real frame_window_{0.0};  ///< frame_span_ + slot_tol_
   Real cached_energy_{-1.0};
   Real cached_pd_{0.0};
   /// Detected, unclaimed pulses in time order. The live window is
@@ -160,10 +166,7 @@ class StreamingUwbReceiver {
   /// erasing from the front, and the dead prefix is reclaimed lazily.
   std::vector<PulseEmission> pending_;
   std::size_t pend_head_{0};
-  std::vector<Real> scratch_amp_;     ///< SoA chunk amplitudes, reused
-  std::vector<Real> scratch_energy_;  ///< SoA chunk energies, reused
   Real watermark_{0.0};
-  bool saw_pulse_{false};
 
   void close_frames(Real closable_before, core::EventStream& out);
   void close_front_frame(core::EventStream& out);

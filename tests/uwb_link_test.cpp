@@ -1,9 +1,14 @@
 // UWB link: modulation layout, channel statistics, energy-detector
 // probabilities, packet decode round-trips and AER arbitration.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <vector>
 
+#include "dsp/rng.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/channel.hpp"
 #include "uwb/modulator.hpp"
@@ -401,6 +406,153 @@ TEST(EventStream, HelpersBehave) {
   const auto ch1 = ev.channel_slice(1);
   ASSERT_EQ(ch1.size(), 1u);
   EXPECT_DOUBLE_EQ(ch1[0].time_s, 0.1);
+}
+
+// ------------------------------------------- near-sorted stable sorting
+
+std::uint64_t bits(Real x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Time instants to sort: AER frames abutting at 1 us (a frame's last slot
+/// and the next marker share a nominal instant) plus Gaussian jitter, and
+/// the degenerate layouts.
+std::vector<std::vector<Real>> sort_inputs() {
+  std::vector<std::vector<Real>> out;
+  for (const Real jitter : {0.0, 50e-12, 300e-9, 1e-3}) {
+    dsp::Rng rng(31);
+    std::vector<Real> t;
+    for (int frame = 0; frame < 400; ++frame) {
+      for (int slot = 0; slot <= 10; slot += 1 + frame % 3) {
+        t.push_back(1e-6 * frame + 1e-7 * slot + jitter * rng.gaussian_bm());
+      }
+    }
+    out.push_back(t);
+  }
+  // Jitter on a coarse grid: equal times with larger ones in between, so
+  // an insertion that passed an equal element would show.
+  auto quantized = out[2];
+  for (Real& t : quantized) t = std::round(t / 2e-7) * 2e-7;
+  out.push_back(quantized);
+  out.push_back(std::vector<Real>(500, 0.25));  // all equal
+  std::vector<Real> reverse(3000);
+  for (std::size_t i = 0; i < reverse.size(); ++i) {
+    reverse[i] = static_cast<Real>(reverse.size() - i);  // budget fallback
+  }
+  out.push_back(reverse);
+  out.push_back({});
+  out.push_back({1.0});
+  return out;
+}
+
+TEST(NearSortedSort, PulseTrainEqualsStableSort) {
+  for (const auto& times : sort_inputs()) {
+    uwb::PulseTrain train;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      train.add(uwb::PulseEmission{times[i], 0.01 * static_cast<Real>(i % 7),
+                                   static_cast<std::uint32_t>(i),
+                                   i % 11 == 0});
+    }
+    std::vector<uwb::PulseEmission> want = train.pulses();
+    std::stable_sort(want.begin(), want.end(),
+                     [](const uwb::PulseEmission& a,
+                        const uwb::PulseEmission& b) {
+                       return a.time_s < b.time_s;
+                     });
+    train.sort_by_time();
+    const auto& got = train.pulses();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(bits(got[i].time_s), bits(want[i].time_s)) << i;
+      ASSERT_EQ(bits(got[i].amplitude_v), bits(want[i].amplitude_v)) << i;
+      ASSERT_EQ(got[i].packet_id, want[i].packet_id) << i;
+      ASSERT_EQ(got[i].is_marker, want[i].is_marker) << i;
+    }
+  }
+}
+
+TEST(NearSortedSort, EventStreamEqualsStableSort) {
+  for (const auto& times : sort_inputs()) {
+    core::EventStream ev;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      ev.add(times[i], static_cast<std::uint8_t>(i % 16),
+             static_cast<std::uint16_t>(i));
+    }
+    std::vector<core::Event> want = ev.events();
+    std::stable_sort(want.begin(), want.end(),
+                     [](const core::Event& a, const core::Event& b) {
+                       return a.time_s < b.time_s;
+                     });
+    ev.sort_by_time();
+    ASSERT_EQ(ev.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(bits(ev[i].time_s), bits(want[i].time_s)) << i;
+      ASSERT_EQ(ev[i].vth_code, want[i].vth_code) << i;
+      ASSERT_EQ(ev[i].channel, want[i].channel) << i;
+    }
+  }
+}
+
+// aer_merge sorts each channel run only when needed and merges the runs;
+// the arbitrated output must equal gather + one stable sort + the
+// arbiter, over random channel sets with cross-channel time ties and one
+// unsorted channel.
+TEST(Aer, RunMergeEqualsGatherAndStableSort) {
+  dsp::Rng rng(2718);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto num_channels = static_cast<std::size_t>(rng.integer(1, 40));
+    const auto unsorted = static_cast<std::size_t>(
+        rng.integer(0, num_channels - 1));
+    std::vector<core::EventStream> chans(num_channels);
+    for (std::size_t c = 0; c < num_channels; ++c) {
+      const auto n = rng.integer(0, 120);
+      Real t = 0.0;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        // A coarse time grid makes cross-channel ties common.
+        t += 1e-4 * static_cast<Real>(rng.integer(0, 3));
+        const Real at =
+            c == unsorted ? 1e-4 * static_cast<Real>(rng.integer(0, 200)) : t;
+        chans[c].add(at, static_cast<std::uint8_t>(rng.integer(0, 15)));
+      }
+    }
+    uwb::AerConfig cfg;
+    cfg.address_bits = 6;
+    cfg.min_spacing_s = trial % 2 == 0 ? 0.0 : 5e-5;
+    cfg.max_queue_delay_s = trial % 3 == 0 ? 1e-4 : 1.0;
+
+    std::vector<core::Event> all;
+    for (std::size_t c = 0; c < num_channels; ++c) {
+      for (core::Event e : chans[c].events()) {
+        e.channel = static_cast<std::uint16_t>(c);
+        all.push_back(e);
+      }
+    }
+    std::stable_sort(all.begin(), all.end(),
+                     [](const core::Event& a, const core::Event& b) {
+                       return a.time_s < b.time_s;
+                     });
+    core::EventStream want;
+    std::size_t dropped = 0;
+    Real next_free = -1.0;
+    for (const auto& e : all) {
+      const Real send_at = std::max(e.time_s, next_free);
+      if (send_at - e.time_s > cfg.max_queue_delay_s) {
+        ++dropped;
+        continue;
+      }
+      want.add(send_at, e.vth_code, e.channel);
+      next_free = send_at + cfg.min_spacing_s;
+    }
+
+    uwb::AerStats stats;
+    const auto got = uwb::aer_merge(chans, cfg, &stats);
+    EXPECT_EQ(stats.dropped, dropped) << "trial " << trial;
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(bits(got[i].time_s), bits(want[i].time_s))
+          << "trial " << trial << " event " << i;
+      ASSERT_EQ(got[i].vth_code, want[i].vth_code) << "trial " << trial;
+      ASSERT_EQ(got[i].channel, want[i].channel) << "trial " << trial;
+    }
+  }
 }
 
 }  // namespace

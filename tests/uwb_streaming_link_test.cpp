@@ -319,4 +319,30 @@ TEST(StreamingChannel, RejectsNegativeOrNanJitter) {
   EXPECT_NO_THROW(uwb::StreamingChannel(ch, dsp::Rng(1)));
 }
 
+TEST(StreamingUwbReceiver, RejectsBadSlotGeometry) {
+  const auto make = [](Real symbol_period_s, Real slot_tolerance) {
+    uwb::UwbReceiverConfig rxc;
+    rxc.modulator.symbol_period_s = symbol_period_s;
+    rxc.slot_tolerance = slot_tolerance;
+    return uwb::StreamingUwbReceiver(rxc, uwb::noiseless_channel(),
+                                     dsp::Rng(1));
+  };
+  constexpr Real kNan = std::numeric_limits<Real>::quiet_NaN();
+  for (const Real ts : {0.0, -1e-7, kNan, kInf}) {
+    EXPECT_THROW((void)make(ts, 0.25), std::invalid_argument)
+        << "symbol period " << ts;
+  }
+  for (const Real tol : {kNan, -0.01, 0.5, 0.75, kInf}) {
+    EXPECT_THROW((void)make(100e-9, tol), std::invalid_argument)
+        << "slot tolerance " << tol;
+  }
+  EXPECT_NO_THROW((void)make(100e-9, 0.0));
+  EXPECT_NO_THROW((void)make(100e-9, 0.4999));
+  // The whole-train receiver shares the core, and so the validation.
+  uwb::UwbReceiverConfig rxc;
+  rxc.slot_tolerance = kNan;
+  EXPECT_THROW(uwb::UwbReceiver(rxc, uwb::noiseless_channel(), dsp::Rng(1)),
+               std::invalid_argument);
+}
+
 }  // namespace
