@@ -397,23 +397,6 @@ void bench_streaming_recon_1ch(benchmark::State& state) {
 }
 BENCHMARK(bench_streaming_recon_1ch)->Unit(benchmark::kMillisecond);
 
-void bench_streaming_push_function_sink(benchmark::State& state) {
-  // The historical per-sample path through a std::function sink.
-  const auto& rec = workload().front();
-  const core::DatcEncoderConfig cfg;
-  for (auto _ : state) {
-    std::size_t count = 0;
-    core::StreamingDatcEncoder enc(
-        cfg, rec.emg_v.sample_rate_hz(),
-        [&count](const core::Event&) { ++count; });
-    for (const Real v : rec.emg_v.samples()) enc.push(v);
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rec.emg_v.size()));
-}
-BENCHMARK(bench_streaming_push_function_sink)->Unit(benchmark::kMillisecond);
-
 void bench_streaming_block_arena_sink(benchmark::State& state) {
   // Same record through the templated block path into an arena.
   const auto& rec = workload().front();
@@ -421,8 +404,8 @@ void bench_streaming_block_arena_sink(benchmark::State& state) {
   core::EventArena arena(4096);
   for (auto _ : state) {
     arena.clear();
-    core::StreamingDatcEncoderT<core::ArenaSink> enc(
-        cfg, rec.emg_v.sample_rate_hz(), core::ArenaSink{&arena});
+    core::StreamingDatcEncoder enc(cfg, rec.emg_v.sample_rate_hz(),
+                                   core::ArenaSink{&arena});
     enc.push_block(rec.emg_v.view());
     benchmark::DoNotOptimize(arena.size());
   }
@@ -440,18 +423,6 @@ void bench_dtc_step_loop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(bench_dtc_step_loop);
-
-void bench_dtc_run_frames(benchmark::State& state) {
-  core::Dtc dtc;
-  std::vector<std::uint8_t> bits(8000);
-  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = (i / 3) % 4 == 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dtc.run_frames(bits));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bits.size()));
-}
-BENCHMARK(bench_dtc_run_frames);
 
 }  // namespace
 

@@ -34,13 +34,6 @@ class Comparator {
 
   [[nodiscard]] const ComparatorConfig& config() const { return config_; }
 
-  /// True when the deterministic decision rule (offset + hysteresis, no
-  /// stochastic metastability) fully describes compare() — the condition
-  /// for the block-mode hot paths to inline the comparison.
-  [[nodiscard]] bool is_deterministic() const {
-    return config_.metastable_prob <= 0.0;
-  }
-
   // Block-mode register access: the hot paths keep the hysteresis state in
   // a local and write it back once per block.
   [[nodiscard]] bool last_decision() const { return last_; }

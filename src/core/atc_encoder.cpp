@@ -1,45 +1,31 @@
 #include "core/atc_encoder.hpp"
-#include "dsp/types.hpp"
 
 #include <cmath>
+
+#include "core/events.hpp"
+#include "core/streaming.hpp"
+#include "dsp/types.hpp"
 
 namespace datc::core {
 
 AtcResult encode_atc(const dsp::TimeSeries& emg_v,
                      const AtcEncoderConfig& config) {
-  dsp::require(config.threshold_v > 0.0,
-               "encode_atc: threshold must be positive");
-  dsp::require(config.hysteresis_v >= 0.0 &&
-                   config.hysteresis_v < config.threshold_v,
-               "encode_atc: hysteresis must lie in [0, threshold)");
   AtcResult out;
+  StreamingAtcEncoder encoder(
+      config, emg_v.sample_rate_hz(),
+      [&out](const Event& e) { out.events.add(e.time_s); });
   const auto& x = emg_v.samples();
   if (x.empty()) return out;
   // Crossings are bounded by half the sample count but are far sparser in
   // practice; this keeps typical records to a single allocation.
   out.events.reserve(x.size() / 64 + 8);
+  encoder.push_block(x);
 
-  const Real fs = emg_v.sample_rate_hz();
-  const Real arm_level = config.threshold_v - config.hysteresis_v;
   std::size_t above_count = 0;
-  bool armed = true;  // may fire on the next upward crossing
-  Real prev = config.rectify_input ? std::abs(x[0]) : x[0];
-  if (prev > config.threshold_v) {
-    ++above_count;
-    armed = false;
-  }
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    const Real cur = config.rectify_input ? std::abs(x[i]) : x[i];
-    if (cur > config.threshold_v) ++above_count;
-    if (armed && prev <= config.threshold_v && cur > config.threshold_v) {
-      // Interpolated crossing instant within [i-1, i].
-      const Real frac = (config.threshold_v - prev) / (cur - prev);
-      const Real t = (static_cast<Real>(i - 1) + frac) / fs;
-      out.events.add(t, /*vth_code=*/0);
-      armed = false;
+  for (const Real v : x) {
+    if ((config.rectify_input ? std::abs(v) : v) > config.threshold_v) {
+      ++above_count;
     }
-    if (!armed && cur < arm_level) armed = true;
-    prev = cur;
   }
   out.duty_cycle =
       static_cast<Real>(above_count) / static_cast<Real>(x.size());

@@ -20,8 +20,10 @@ struct AtcResult {
   Real duty_cycle{0.0};  ///< fraction of samples above threshold
 };
 
-/// Encodes a whole record. Event timestamps are linearly interpolated
-/// between the two samples that straddle the crossing.
+/// Encodes a whole record as one push_block() of a StreamingAtcEncoder
+/// (core/streaming.hpp), the one home of the crossing rule. Event
+/// timestamps are linearly interpolated between the two samples that
+/// straddle the crossing.
 [[nodiscard]] AtcResult encode_atc(const dsp::TimeSeries& emg_v,
                                    const AtcEncoderConfig& config);
 

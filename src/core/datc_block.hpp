@@ -7,11 +7,13 @@
 // threshold code is constant between frame boundaries, so each chunk runs
 // against a fixed comparison level.
 //
-// The arithmetic is expression-for-expression identical to the reference
-// paths (encode_datc / StreamingDatcEncoder::push), so the emitted events
-// are bit-identical; tests assert this. Callers must route stochastic
-// comparators (metastable_prob > 0) through the per-cycle reference path —
-// the kernel only models the deterministic offset + hysteresis rule.
+// StreamingDatcEncoder is its only caller: whole records and streamed
+// chunks both reach it through push_block(). The arithmetic is
+// expression-for-expression identical to the per-cycle reference
+// (encode_datc), so the emitted events are bit-identical; tests assert
+// this. The kernel models the deterministic offset + hysteresis rule only;
+// a metastable comparator cannot be built without an Rng, which the
+// encoder never supplies.
 
 #include <algorithm>
 #include <bit>
@@ -28,18 +30,28 @@
 
 namespace datc::core::detail {
 
-/// Runs cycles k in [k_begin, k_end) while the clock instant (in analog
-/// sample coordinates) stays <= pos_limit. `sample_at(pos)` returns the
-/// un-rectified analog value at that instant; `emit(t_k, code)` is called
-/// for each transmitted event with the code in effect when it fired.
-/// Returns the first cycle index NOT processed.
-template <class SampleAt, class Emit>
-std::size_t run_datc_block(Dtc& dtc, afe::Comparator& comparator,
-                           const DatcEncoderConfig& config,
-                           std::span<const Real> dac_table,
-                           std::size_t k_begin, std::size_t k_end,
-                           Real pos_limit, Real analog_fs_hz,
-                           SampleAt&& sample_at, Emit&& emit) {
+/// The analog samples the kernel may read: global sample i, for i in
+/// [off, last], is base[i - off]. At clock instant pos (analog-sample
+/// coordinates) the comparator sees
+///   base[i0 - off] + frac * (base[i0 - off + 1] - base[i0 - off]),
+/// i0 = trunc(pos), frac = pos - i0, while pos < last, and the newest
+/// sample itself when pos == last. Cycles past `last` wait for more input.
+struct LerpSource {
+  const Real* base;
+  std::int64_t off;
+  Real last;
+};
+
+/// Scalar kernel: runs cycles from k_begin while the clock instant stays
+/// <= src.last. `emit(t_k, code)` is called for each transmitted event
+/// with the code in effect when it fired. Returns the first cycle index
+/// NOT processed.
+template <class Emit>
+std::size_t run_datc_block_scalar(Dtc& dtc, afe::Comparator& comparator,
+                                  const DatcEncoderConfig& config,
+                                  std::span<const Real> dac_table,
+                                  std::size_t k_begin, Real analog_fs_hz,
+                                  const LerpSource& src, Emit&& emit) {
   DtcCursor cur = dtc.block_cursor();
   bool cmp_last = comparator.last_decision();
 
@@ -48,18 +60,19 @@ std::size_t run_datc_block(Dtc& dtc, afe::Comparator& comparator,
   const Real half_hyst = config.comparator.hysteresis_v / 2.0;
   const bool rectify = config.rectify_input;
   const unsigned flen = dtc.frame_len();
+  const Real last = src.last;
+  const Real newest = src.base[static_cast<std::int64_t>(last) - src.off];
 
   std::size_t k = k_begin;
   bool past_limit = false;
-  while (k < k_end && !past_limit) {
+  while (!past_limit) {
     // Threshold level fixed until the next frame boundary.
     const Real vth = dac_table[cur.set_vth];
     const Real level_hi = vth + half_hyst;  // switching level when last == 0
     const Real level_lo = vth - half_hyst;  // switching level when last == 1
     const auto code = static_cast<std::uint8_t>(cur.set_vth);
 
-    const std::size_t chunk =
-        std::min<std::size_t>(k_end - k, flen - cur.cycle_in_frame);
+    const std::uint32_t chunk = flen - cur.cycle_in_frame;
     bool in_reg = cur.in_reg;
     bool d_out_prev = cur.d_out_prev;
     std::uint32_t counter = cur.counter;
@@ -67,11 +80,17 @@ std::size_t run_datc_block(Dtc& dtc, afe::Comparator& comparator,
     for (; done < chunk; ++done, ++k) {
       const Real t_k = static_cast<Real>(k) / clock_hz;
       const Real pos = t_k * analog_fs_hz;
-      if (pos > pos_limit) {
+      if (pos > last) {
         past_limit = true;
         break;
       }
-      Real v = sample_at(pos);
+      Real v = newest;  // pos lands exactly on the newest sample
+      if (pos < last) {
+        const auto i0 = static_cast<std::size_t>(pos);
+        const Real* p = src.base + (static_cast<std::int64_t>(i0) - src.off);
+        const Real frac = pos - static_cast<Real>(i0);
+        v = p[0] + frac * (p[1] - p[0]);
+      }
       if (rectify) v = std::abs(v);
       const bool d_in = (v + offset_v) > (cmp_last ? level_lo : level_hi);
       cmp_last = d_in;
@@ -93,26 +112,11 @@ std::size_t run_datc_block(Dtc& dtc, afe::Comparator& comparator,
   return k;
 }
 
-/// Lerp-source geometry for the vectorized comparator path: whenever the
-/// clock instant pos (analog-sample coordinates) satisfies
-/// lo_pos < pos < hi_pos, the analog value is
-///   base[i0 - off] + frac * (base[i0 - off + 1] - base[i0 - off]),
-/// i0 = trunc(pos), frac = pos - i0 — the expression both batch and
-/// streaming sample_at callables inline away from the clamped edges.
-/// Outside that open interval the caller's sample_at is authoritative.
-struct LerpSource {
-  const Real* base;
-  std::int64_t off;
-  Real lo_pos;
-  Real hi_pos;
-};
-
-/// run_datc_block with the comparator inner loop vectorized over the
-/// SIMD-eligible cycle range [kA, kB) — the contiguous span whose clock
-/// instants stay strictly inside the lerp window. Edge cycles (record
-/// boundaries, the newest streaming sample) run through the scalar
-/// kernel with the caller's sample_at, so results are bit-identical to
-/// run_datc_block for every input.
+/// run_datc_block_scalar with the comparator inner loop vectorized over
+/// [k_begin, kB) — the cycles whose clock instants lie strictly below
+/// src.last, where the value is a pure lerp. The cycles landing exactly
+/// on the newest sample run through the scalar kernel, so results are
+/// bit-identical to run_datc_block_scalar for every input.
 ///
 /// The carried hysteresis state never leaves registers: with A = the
 /// "above level_lo" mask word, B = the "above level_hi" mask word and
@@ -121,14 +125,12 @@ struct LerpSource {
 /// is exactly the carry chain of A + B — a full adder propagates
 /// carry_{i+1} = B_i | (A_i & carry_i) when B implies A — so one 64-bit
 /// add resolves 64 cycles of the serial dependency at once.
-template <class SampleAt, class Emit>
-std::size_t run_datc_block_simd(Dtc& dtc, afe::Comparator& comparator,
-                                const DatcEncoderConfig& config,
-                                std::span<const Real> dac_table,
-                                std::size_t k_begin, std::size_t k_end,
-                                Real pos_limit, Real analog_fs_hz,
-                                const LerpSource& src, SampleAt&& sample_at,
-                                Emit&& emit) {
+template <class Emit>
+std::size_t run_datc_block(Dtc& dtc, afe::Comparator& comparator,
+                           const DatcEncoderConfig& config,
+                           std::span<const Real> dac_table,
+                           std::size_t k_begin, Real analog_fs_hz,
+                           const LerpSource& src, Emit&& emit) {
   const Real clock_hz = config.clock_hz;
   const Real fs = analog_fs_hz;
   const auto pos_of = [clock_hz, fs](std::size_t k) {
@@ -137,26 +139,17 @@ std::size_t run_datc_block_simd(Dtc& dtc, afe::Comparator& comparator,
   // The AVX2 path gathers through int32 indices; clamping the window top
   // keeps every eligible pos (hence i0) in range. Positions beyond 2^31
   // samples simply fall back to the scalar kernel.
-  const Real top = std::min(src.hi_pos, Real{2147480000.0});
-  const Real bound = std::min(top, pos_limit);  // hi_pos is always finite
-  const auto inside = [&](std::size_t k) {
-    const Real p = pos_of(k);
-    return p < top && p <= pos_limit;
-  };
+  const Real top = std::min(src.last, Real{2147480000.0});
+  const auto inside = [&](std::size_t k) { return pos_of(k) < top; };
 
-  // kA: first cycle past the lower clamp (lo_pos is -inf or 0 in
-  // practice, so this scan is O(1)).
-  std::size_t kA = k_begin;
-  while (kA < k_end && !(pos_of(kA) > src.lo_pos)) ++kA;
-  // kB: first cycle at/above the upper bound — estimate from the bound,
-  // then binary-search with the exact predicate.
-  std::size_t kB = kA;
+  // kB: first cycle at/above the top — estimate from the top, then
+  // binary-search with the exact predicate (pos_of is non-decreasing).
+  std::size_t kB = k_begin;
   {
-    const Real est = bound / fs * clock_hz + 4.0;
-    std::size_t hi_k = k_end;
-    if (est < static_cast<Real>(k_end)) hi_k = static_cast<std::size_t>(est);
-    std::size_t lo = kA;
-    std::size_t hi = std::max(hi_k, kA);
+    const Real est = std::min(top / fs * clock_hz + 4.0, Real{1e18});
+    std::size_t lo = k_begin;
+    std::size_t hi = k_begin;
+    if (est > static_cast<Real>(k_begin)) hi = static_cast<std::size_t>(est);
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
       if (inside(mid)) {
@@ -166,21 +159,18 @@ std::size_t run_datc_block_simd(Dtc& dtc, afe::Comparator& comparator,
       }
     }
     kB = lo;
-    while (kB < k_end && inside(kB)) ++kB;  // estimate slack, O(1)
+    while (inside(kB)) ++kB;  // estimate slack, O(1)
   }
 
-  if (kB < kA + 16) {
+  if (kB < k_begin + 16) {
     // Too short for the mask kernel to pay off (tiny streaming chunks).
-    return run_datc_block(dtc, comparator, config, dac_table, k_begin, k_end,
-                          pos_limit, fs, sample_at, emit);
+    return run_datc_block_scalar(dtc, comparator, config, dac_table, k_begin,
+                                 fs, src, emit);
   }
 
-  // Scalar prefix [k_begin, kA) — record-edge clamps.
-  std::size_t k = run_datc_block(dtc, comparator, config, dac_table, k_begin,
-                                 kA, pos_limit, fs, sample_at, emit);
-  if (k < kA) return k;  // pos_limit reached inside the prefix
-
-  // Vector main [kA, kB): frame-chunked mask building + carry resolution.
+  // Vector main [k_begin, kB): frame-chunked mask building + carry
+  // resolution.
+  std::size_t k = k_begin;
   DtcCursor cur = dtc.block_cursor();
   bool cmp_last = comparator.last_decision();
   const Real offset_v = config.comparator.offset_v;
@@ -246,9 +236,9 @@ std::size_t run_datc_block_simd(Dtc& dtc, afe::Comparator& comparator,
   dtc.restore_cursor(cur);
   comparator.set_last_decision(cmp_last);
 
-  // Scalar suffix [kB, k_end) — upper clamp / newest-sample landings.
-  return run_datc_block(dtc, comparator, config, dac_table, k, k_end,
-                        pos_limit, fs, sample_at, emit);
+  // Scalar suffix from kB — the newest-sample landing.
+  return run_datc_block_scalar(dtc, comparator, config, dac_table, k, fs, src,
+                               emit);
 }
 
 }  // namespace datc::core::detail

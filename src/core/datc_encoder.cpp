@@ -1,14 +1,13 @@
 #include "core/datc_encoder.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "afe/comparator.hpp"
 #include "afe/dac.hpp"
-#include "core/datc_block.hpp"
 #include "core/dtc.hpp"
 #include "core/event_arena.hpp"
 #include "core/frame.hpp"
+#include "core/streaming.hpp"
 #include "dsp/types.hpp"
 
 namespace datc::core {
@@ -25,7 +24,10 @@ std::vector<Real> DatcResult::vth_voltage() const {
 
 DatcResult encode_datc(const dsp::TimeSeries& emg_v,
                        const DatcEncoderConfig& config) {
-  dsp::require(config.clock_hz > 0.0, "encode_datc: clock must be positive");
+  dsp::require(std::isfinite(config.clock_hz) && config.clock_hz > 0.0,
+               "encode_datc: clock must be finite and positive");
+  dsp::require(std::isfinite(emg_v.sample_rate_hz()),
+               "encode_datc: analog rate must be finite");
   DatcResult out;
   out.clock_hz = config.clock_hz;
   out.dac_bits = config.dtc.dac_bits;
@@ -36,19 +38,24 @@ DatcResult encode_datc(const dsp::TimeSeries& emg_v,
   afe::Dac dac(afe::DacConfig{config.dtc.dac_bits, config.dac_vref});
   afe::Comparator comparator(config.comparator);
 
-  const auto num_cycles = static_cast<std::size_t>(
-      std::floor(emg_v.duration_s() * config.clock_hz));
-  out.num_cycles = num_cycles;
-  out.trace.d_out.reserve(num_cycles);
-  out.trace.set_vth.reserve(num_cycles);
+  // The record covers the clock instants at or before its last sample:
+  // cycle k runs while (k / clock) * fs <= n - 1.
+  const Real fs = emg_v.sample_rate_hz();
+  const auto last = static_cast<Real>(emg_v.size() - 1);
+  const auto estimate = static_cast<std::size_t>(
+      std::floor(emg_v.duration_s() * config.clock_hz)) + 1;
+  out.trace.d_out.reserve(estimate);
+  out.trace.set_vth.reserve(estimate);
   const std::size_t frame_len = frame_cycles(config.dtc.frame);
-  out.trace.frame_ones.reserve(num_cycles / frame_len + 1);
-  out.trace.frame_vth.reserve(num_cycles / frame_len + 1);
+  out.trace.frame_ones.reserve(estimate / frame_len + 1);
+  out.trace.frame_vth.reserve(estimate / frame_len + 1);
   // Generous for realistic duty cycles (events fire well below clock/8).
-  out.events.reserve(num_cycles / 8 + 16);
+  out.events.reserve(estimate / 8 + 16);
 
-  for (std::size_t k = 0; k < num_cycles; ++k) {
+  std::size_t k = 0;
+  for (;; ++k) {
     const Real t = static_cast<Real>(k) / config.clock_hz;
+    if (t * fs > last) break;
     Real v = emg_v.at_time(t);
     if (config.rectify_input) v = std::abs(v);
     const unsigned code_in_effect = dtc.set_vth();
@@ -69,54 +76,21 @@ DatcResult encode_datc(const dsp::TimeSeries& emg_v,
       out.events.add(t, static_cast<std::uint8_t>(code_in_effect));
     }
   }
+  out.num_cycles = k;
   return out;
 }
 
 std::size_t encode_datc_events(const dsp::TimeSeries& emg_v,
                                const DatcEncoderConfig& config,
                                EventArena& arena) {
-  dsp::require(config.clock_hz > 0.0,
-               "encode_datc_events: clock must be positive");
   arena.clear();
+  StreamingDatcEncoder encoder(config, emg_v.sample_rate_hz(),
+                               ArenaSink{&arena});
   if (emg_v.empty()) return 0;
-
-  const auto num_cycles = static_cast<std::size_t>(
+  const auto cycles = static_cast<std::size_t>(
       std::floor(emg_v.duration_s() * config.clock_hz));
-  arena.reserve(num_cycles / 8 + 16);
-
-  Dtc dtc(config.dtc);
-  afe::Dac dac(afe::DacConfig{config.dtc.dac_bits, config.dac_vref});
-  afe::Comparator comparator(config.comparator);
-
-  if (!comparator.is_deterministic()) {
-    // Stochastic comparator: the reference per-cycle path is authoritative.
-    auto result = encode_datc(emg_v, config);
-    for (const auto& e : result.events.events()) arena.push(e);
-    return arena.size();
-  }
-
-  const auto dac_table = dac.voltage_table();
-  const Real fs = emg_v.sample_rate_hz();
-  const Real* x = emg_v.samples().data();
-  const std::size_t n = emg_v.size();
-  const Real last = static_cast<Real>(n - 1);
-  // Same clamped interpolation as TimeSeries::at_time, inlined over the
-  // raw array (the kernel feeds `pos` = t * fs directly).
-  const auto sample_at = [x, n, last](Real pos) -> Real {
-    if (pos <= 0.0) return x[0];
-    if (pos >= last) return x[n - 1];
-    const auto i0 = static_cast<std::size_t>(pos);
-    const Real frac = pos - static_cast<Real>(i0);
-    return x[i0] + frac * (x[i0 + 1] - x[i0]);
-  };
-  // Away from the clamped record edges the interpolation is a pure lerp
-  // over x — the vector comparator kernel handles those cycles, the
-  // scalar kernel the edges.
-  const detail::LerpSource src{x, 0, 0.0, last};
-  detail::run_datc_block_simd(
-      dtc, comparator, config, dac_table, 0, num_cycles,
-      std::numeric_limits<Real>::infinity(), fs, src, sample_at,
-      [&arena](Real t, std::uint8_t code) { arena.push(Event{t, code, 0}); });
+  arena.reserve(cycles / 8 + 16);
+  encoder.push_block(emg_v.view());
   return arena.size();
 }
 

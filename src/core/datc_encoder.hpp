@@ -45,19 +45,22 @@ struct DatcResult {
   [[nodiscard]] std::vector<Real> vth_voltage() const;
 };
 
-/// Runs the transmitter over a whole record. The comparator observes the
-/// (optionally rectified) analog waveform via linear interpolation at each
-/// clock instant — the async comparator sampled by In_reg.
+/// Per-cycle reference model of the transmitter over a whole record, with
+/// the full DatcTrace. The comparator observes the (optionally rectified)
+/// analog waveform via linear interpolation at each clock instant — the
+/// async comparator sampled by In_reg. The record covers the clock
+/// instants at or before its last sample: cycle k runs while
+/// (k / clock_hz) * fs <= n - 1.
 [[nodiscard]] DatcResult encode_datc(const dsp::TimeSeries& emg_v,
                                      const DatcEncoderConfig& config);
 
 class EventArena;
 
-/// Events-only fast path: the fused block kernel (datc_block.hpp) with no
-/// per-cycle trace recording. Emits into `arena` (cleared first; storage is
-/// reused across records) and returns the event count. The emitted events
-/// are bit-identical to encode_datc(...).events — asserted by tests.
-/// Falls back to the per-cycle reference path for stochastic comparators.
+/// Events-only encode: the whole record as one push_block() of a
+/// StreamingDatcEncoder (core/streaming.hpp), read in place. Emits into
+/// `arena` (cleared first; storage is reused across records) and returns
+/// the event count. The emitted events are bit-identical to
+/// encode_datc(...).events — asserted by tests.
 std::size_t encode_datc_events(const dsp::TimeSeries& emg_v,
                                const DatcEncoderConfig& config,
                                EventArena& arena);

@@ -3,7 +3,6 @@
 #include "core/predictor.hpp"
 #include "dsp/types.hpp"
 
-#include <algorithm>
 
 namespace datc::core {
 
@@ -83,40 +82,6 @@ void Dtc::finish_frame(DtcCursor& cur) {
   cur.counter = 0;
   cur.cycle_in_frame = 0;
   cur.set_vth = set_vth_;
-}
-
-std::size_t Dtc::run_frames(std::span<const std::uint8_t> d_in,
-                            std::uint8_t* events_out) {
-  DtcCursor cur = block_cursor();
-  const unsigned flen = frame_len_;
-  std::size_t events = 0;
-  std::size_t k = 0;
-  const std::size_t n = d_in.size();
-  while (k < n) {
-    // Run until the next frame boundary or the end of the input, whichever
-    // comes first; the frame bookkeeping stays out of the per-cycle path.
-    const std::size_t chunk =
-        std::min<std::size_t>(n - k, flen - cur.cycle_in_frame);
-    bool in_reg = cur.in_reg;
-    bool d_out_prev = cur.d_out_prev;
-    std::uint32_t counter = cur.counter;
-    for (std::size_t c = 0; c < chunk; ++c, ++k) {
-      const bool d_out = in_reg;
-      const bool event = d_out && !d_out_prev;
-      events += event;
-      if (events_out != nullptr) events_out[k] = event ? 1 : 0;
-      counter += d_out;
-      d_out_prev = d_out;
-      in_reg = d_in[k] != 0;
-    }
-    cur.in_reg = in_reg;
-    cur.d_out_prev = d_out_prev;
-    cur.counter = counter;
-    cur.cycle_in_frame += static_cast<std::uint32_t>(chunk);
-    if (cur.cycle_in_frame >= flen) finish_frame(cur);
-  }
-  restore_cursor(cur);
-  return events;
 }
 
 DtcStep Dtc::step(bool d_in) {

@@ -14,7 +14,6 @@
 // simulation outputs").
 
 #include <cstdint>
-#include <span>
 
 #include "core/frame.hpp"
 #include "core/interval_table.hpp"
@@ -59,15 +58,6 @@ class Dtc {
 
   /// Advance one clock cycle with the sampled comparator level.
   DtcStep step(bool d_in);
-
-  /// Block path: clock the DTC through `d_in.size()` precomputed comparator
-  /// bits in one call. Bit-identical to calling step() per cycle, but the
-  /// inner loop keeps the registers in locals and hoists the frame-boundary
-  /// bookkeeping out of the per-cycle path. When `events_out` is non-null it
-  /// receives one flag byte per cycle (1 = transmit event). Returns the
-  /// number of events. Frames may straddle calls; state carries over.
-  std::size_t run_frames(std::span<const std::uint8_t> d_in,
-                         std::uint8_t* events_out = nullptr);
 
   // --- block-mode register access (hot paths; see datc_block.hpp) ---
 

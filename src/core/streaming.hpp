@@ -1,27 +1,26 @@
 #pragma once
-// Real-time streaming front ends. The batch encoders in atc_encoder.hpp /
-// datc_encoder.hpp consume whole records (convenient for experiments);
-// these classes accept analog samples — one at a time or in blocks — and
-// emit events through a sink.
+// Real-time streaming front ends, and the only encoder implementations:
+// they accept analog samples — one at a time or in blocks — and emit
+// events through a sink. The whole-record encoders (encode_datc_events,
+// encode_atc) are one push_block() over the record; encode_datc stays as
+// the independent per-cycle reference with its DatcTrace.
 //
-// The sink is a template parameter, so a concrete callable (an EventArena,
-// a lambda, a ring-buffer writer) inlines straight into the encode loop
-// with no std::function dispatch on the event hot path. The historical
-// type-erased aliases (StreamingDatcEncoder / StreamingAtcEncoder over
-// std::function) remain for callers that need runtime-bound sinks.
+// The sink is a template parameter deduced at the call site, so a concrete
+// callable (an ArenaSink, a lambda, a ring-buffer writer) inlines straight
+// into the encode loop with no type-erased dispatch on the event hot path.
 //
 // The D-ATC streamer handles the analog-rate / DTC-clock boundary
 // internally: analog samples arrive at `analog_fs_hz` while the DTC is
 // clocked at `clock_hz`, with linear interpolation at each clock instant
-// (the behaviour of the asynchronous comparator sampled by In_reg).
+// (the behaviour of the asynchronous comparator sampled by In_reg). A
+// clock instant runs once the sample at or after it has arrived, so a
+// record covers the instants at or before its last sample.
 // push_block() runs the fused block kernel (datc_block.hpp): frame-chunked
-// execution against a precomputed DAC table, bit-identical to push().
+// execution against a precomputed DAC table.
 
+#include <cmath>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,32 +35,15 @@
 
 namespace datc::core {
 
-/// Callback fired on each transmitted event (type-erased convenience).
-using EventSink = std::function<void(const Event&)>;
-
-namespace detail {
-
-template <class Sink>
-void require_non_null_sink(const Sink& sink, const char* what) {
-  if constexpr (requires { sink == nullptr; }) {
-    dsp::require(!(sink == nullptr), what);
-  } else {
-    (void)sink;
-    (void)what;
-  }
-}
-
-}  // namespace detail
-
 /// Streaming D-ATC transmitter, parameterised on the event sink.
 /// `channel` is the AER address stamped on every emitted event (0 for
 /// single-channel links) — multi-channel sessions give each encoder its
 /// electrode id so the arbiter and the demux can route its events.
 template <class Sink>
-class StreamingDatcEncoderT {
+class StreamingDatcEncoder {
  public:
-  StreamingDatcEncoderT(const DatcEncoderConfig& config, Real analog_fs_hz,
-                        Sink sink, std::uint16_t channel = 0)
+  StreamingDatcEncoder(const DatcEncoderConfig& config, Real analog_fs_hz,
+                       Sink sink, std::uint16_t channel = 0)
       : config_(config),
         analog_fs_hz_(analog_fs_hz),
         channel_(channel),
@@ -70,78 +52,41 @@ class StreamingDatcEncoderT {
         dac_(afe::DacConfig{config.dtc.dac_bits, config.dac_vref}),
         dac_table_(dac_.voltage_table()),
         comparator_(config.comparator) {
-    dsp::require(analog_fs_hz_ > 0.0,
-                 "StreamingDatcEncoder: analog rate must be positive");
-    dsp::require(config_.clock_hz > 0.0,
-                 "StreamingDatcEncoder: clock must be positive");
-    detail::require_non_null_sink(sink_, "StreamingDatcEncoder: null sink");
+    dsp::require(std::isfinite(analog_fs_hz_) && analog_fs_hz_ > 0.0,
+                 "StreamingDatcEncoder: analog rate must be finite and "
+                 "positive");
+    dsp::require(std::isfinite(config_.clock_hz) && config_.clock_hz > 0.0,
+                 "StreamingDatcEncoder: clock must be finite and positive");
   }
 
   /// Push one analog sample (volts). May fire zero or more events.
-  void push(Real sample_v) {
-    if (samples_seen_ == 0) {
-      prev_sample_ = sample_v;
-      samples_seen_ = 1;
-      run_clock_until(0.0, sample_v);
-      return;
-    }
-    // The newly covered interpolation interval is [n-1, n] in analog-sample
-    // coordinates, where n is this sample's index.
-    run_clock_until(static_cast<Real>(samples_seen_), sample_v);
-    prev_sample_ = sample_v;
-    ++samples_seen_;
-  }
+  void push(Real sample_v) { push_block(std::span<const Real>(&sample_v, 1)); }
 
   /// Process a block of samples through the fused kernel: one chunk per DTC
-  /// frame with the threshold level and all hot registers in locals.
-  /// Bit-identical to calling push() per sample.
+  /// frame with the threshold level and all hot registers in locals. Any
+  /// split of a record into blocks emits the same events.
   void push_block(std::span<const Real> samples_v) {
     if (samples_v.empty()) return;
-    if (!comparator_.is_deterministic()) {
-      // Stochastic comparator decisions must consult the Rng per cycle.
-      for (const Real v : samples_v) push(v);
-      return;
+    const std::size_t s0 = samples_seen_;  // global index of samples_v[0]
+    const std::size_t bn = samples_v.size();
+    const auto last = static_cast<Real>(s0 + bn - 1);
+    if (s0 == 0) {
+      // Bootstrap: the pos == 0 cycle sees sample 0 itself. After it the
+      // caller's span is already the contiguous lerp source (off = 0), so
+      // a whole record is encoded in place.
+      run({samples_v.data(), 0, 0.0});
+      run({samples_v.data(), 0, last});
+    } else {
+      // Later chunks: [prev, chunk] in reused scratch, off = s0 - 1.
+      lerp_scratch_.clear();
+      lerp_scratch_.reserve(bn + 1);
+      lerp_scratch_.push_back(prev_sample_);
+      lerp_scratch_.insert(lerp_scratch_.end(), samples_v.begin(),
+                           samples_v.end());
+      run({lerp_scratch_.data(), static_cast<std::int64_t>(s0) - 1, last});
     }
-    std::size_t consumed = 0;
-    if (samples_seen_ == 0) {
-      push(samples_v[0]);  // bootstrap: runs the pos == 0 cycle
-      consumed = 1;
-      if (samples_v.size() == 1) return;
-    }
-    const Real* xb = samples_v.data() + consumed;
-    const std::size_t bn = samples_v.size() - consumed;
-    const std::size_t s0 = samples_seen_;  // global index of xb[0]
-    const Real prev = prev_sample_;        // global sample s0 - 1
-    const Real upper = static_cast<Real>(s0 + bn - 1);
-    const auto sample_at = [xb, bn, prev, s0](Real pos) -> Real {
-      const auto i0 = static_cast<std::size_t>(pos);
-      const std::size_t local = i0 - (s0 - 1);
-      if (local >= bn) return xb[bn - 1];  // pos lands on the newest sample
-      const Real a = local == 0 ? prev : xb[local - 1];
-      const Real b = xb[local];
-      const Real frac = pos - static_cast<Real>(i0);
-      return a + frac * (b - a);
-    };
-    // Contiguous lerp source [prev, chunk] for the vector kernel; the
-    // capacity is reused across push_block calls. With off = s0 - 1,
-    // base[i0 - off] reproduces sample_at's a/b selection for every pos
-    // strictly below `upper` (the pos == upper landing runs scalar).
-    lerp_scratch_.clear();
-    lerp_scratch_.reserve(bn + 1);
-    lerp_scratch_.push_back(prev);
-    lerp_scratch_.insert(lerp_scratch_.end(), xb, xb + bn);
-    const detail::LerpSource src{
-        lerp_scratch_.data(), static_cast<std::int64_t>(s0) - 1,
-        -std::numeric_limits<Real>::infinity(), upper};
-    cycles_ = detail::run_datc_block_simd(
-        dtc_, comparator_, config_, dac_table_, cycles_,
-        std::numeric_limits<std::size_t>::max(), upper, analog_fs_hz_, src,
-        sample_at, [this](Real t, std::uint8_t code) {
-          ++events_;
-          sink_(Event{t, code, channel_});
-        });
     samples_seen_ = s0 + bn;
-    prev_sample_ = xb[bn - 1];
+    prev_sample_ = samples_v.back();
   }
 
   /// Total clock cycles executed so far.
@@ -186,31 +131,13 @@ class StreamingDatcEncoderT {
   Real prev_sample_{0.0};
   std::vector<Real> lerp_scratch_;  ///< [prev, chunk], reused capacity
 
-  void run_clock_until(Real upper_pos, Real cur_sample) {
-    // pos is the clock instant in analog-sample coordinates — the same
-    // quantity TimeSeries::at_time computes in the batch encoder, so the
-    // streaming path is bit-identical to encode_datc.
-    while (true) {
-      const Real t_k = static_cast<Real>(cycles_) / config_.clock_hz;
-      const Real pos = t_k * analog_fs_hz_;
-      if (pos > upper_pos) break;
-      Real v;
-      if (pos >= upper_pos) {
-        v = cur_sample;  // lands exactly on the newest sample
-      } else {
-        const Real frac = pos - (upper_pos - 1.0);
-        v = prev_sample_ + frac * (cur_sample - prev_sample_);
-      }
-      if (config_.rectify_input) v = std::abs(v);
-      const unsigned code = dtc_.set_vth();
-      const bool d_in = comparator_.compare(v, dac_.voltage(code));
-      const DtcStep s = dtc_.step(d_in);
-      if (s.event) {
-        ++events_;
-        sink_(Event{t_k, static_cast<std::uint8_t>(code), channel_});
-      }
-      ++cycles_;
-    }
+  void run(const detail::LerpSource& src) {
+    cycles_ = detail::run_datc_block(
+        dtc_, comparator_, config_, dac_table_, cycles_, analog_fs_hz_, src,
+        [this](Real t, std::uint8_t code) {
+          ++events_;
+          sink_(Event{t, code, channel_});
+        });
   }
 };
 
@@ -218,10 +145,10 @@ class StreamingDatcEncoderT {
 /// interpolated timestamps, like the batch encoder), parameterised on the
 /// event sink.
 template <class Sink>
-class StreamingAtcEncoderT {
+class StreamingAtcEncoder {
  public:
-  StreamingAtcEncoderT(const AtcEncoderConfig& config, Real analog_fs_hz,
-                       Sink sink, std::uint16_t channel = 0)
+  StreamingAtcEncoder(const AtcEncoderConfig& config, Real analog_fs_hz,
+                      Sink sink, std::uint16_t channel = 0)
       : config_(config),
         analog_fs_hz_(analog_fs_hz),
         channel_(channel),
@@ -233,7 +160,6 @@ class StreamingAtcEncoderT {
                  "StreamingAtcEncoder: hysteresis must lie in [0, threshold)");
     dsp::require(analog_fs_hz_ > 0.0,
                  "StreamingAtcEncoder: analog rate must be positive");
-    detail::require_non_null_sink(sink_, "StreamingAtcEncoder: null sink");
   }
 
   void push(Real sample_v) {
@@ -296,12 +222,5 @@ class StreamingAtcEncoderT {
   bool armed_{true};
   bool first_{true};
 };
-
-/// Type-erased aliases (the historical API; sinks bind at runtime).
-using StreamingDatcEncoder = StreamingDatcEncoderT<EventSink>;
-using StreamingAtcEncoder = StreamingAtcEncoderT<EventSink>;
-
-extern template class StreamingDatcEncoderT<EventSink>;
-extern template class StreamingAtcEncoderT<EventSink>;
 
 }  // namespace datc::core

@@ -204,7 +204,7 @@ SharedAerStreamingSession::SharedAerStreamingSession(
   reconstructors_.reserve(num_channels);
   for (std::size_t c = 0; c < num_channels; ++c) {
     encoders_.push_back(
-        std::make_unique<core::StreamingDatcEncoderT<core::ArenaSink>>(
+        std::make_unique<core::StreamingDatcEncoder<core::ArenaSink>>(
             config_.encoder, config_.analog_fs_hz,
             core::ArenaSink{&events_chunk_},
             static_cast<std::uint16_t>(c)));

@@ -140,7 +140,7 @@ class StreamingSession final : public Session {
   SessionConfig config_;
   std::uint32_t channel_id_;
   core::EventArena events_chunk_;
-  core::StreamingDatcEncoderT<core::ArenaSink> encoder_;
+  core::StreamingDatcEncoder<core::ArenaSink> encoder_;
   uwb::StreamingLink link_;
   core::StreamingDatcReconstructor reconstructor_;
   core::EventStream decoded_chunk_;
@@ -206,7 +206,7 @@ class SharedAerStreamingSession final : public Session {
   SessionConfig config_;
   uwb::SharedAerConfig shared_;
   core::EventArena events_chunk_;
-  std::vector<std::unique_ptr<core::StreamingDatcEncoderT<core::ArenaSink>>>
+  std::vector<std::unique_ptr<core::StreamingDatcEncoder<core::ArenaSink>>>
       encoders_;
   std::vector<std::deque<core::Event>> queues_;  ///< per-channel, pre-merge
   uwb::AerStats arbiter_{};

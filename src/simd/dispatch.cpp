@@ -14,9 +14,7 @@ namespace {
 std::atomic<const KernelTable*> g_active{nullptr};
 
 Backend detect_backend() {
-#if defined(__aarch64__)
-  return Backend::neon;  // AdvSIMD is architecturally mandatory on A64
-#elif defined(__x86_64__) || defined(__i386__)
+#if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") ? Backend::avx2 : Backend::scalar;
 #else
   return Backend::scalar;
@@ -47,12 +45,6 @@ bool backend_available(Backend b) {
 #else
       return false;
 #endif
-    case Backend::neon:
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -61,8 +53,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::avx2:
       return "avx2";
-    case Backend::neon:
-      return "neon";
     case Backend::scalar:
       break;
   }
@@ -74,8 +64,6 @@ bool parse_backend(const char* name, Backend& out) {
     out = Backend::scalar;
   } else if (std::strcmp(name, "avx2") == 0) {
     out = Backend::avx2;
-  } else if (std::strcmp(name, "neon") == 0) {
-    out = Backend::neon;
   } else {
     return false;
   }
@@ -86,8 +74,6 @@ const KernelTable& table_for(Backend b) {
   switch (b) {
     case Backend::avx2:
       return detail::avx2_table();
-    case Backend::neon:
-      return detail::neon_table();
     case Backend::scalar:
       break;
   }

@@ -1,9 +1,9 @@
 #pragma once
 // Runtime backend selection for the vector kernels. The backend is picked
-// once, on first use: DATC_SIMD=scalar|avx2|neon overrides (ignored when
-// the named backend is unavailable on the host), otherwise cpuid chooses
-// the widest supported implementation (AVX2 on x86-64, NEON on aarch64,
-// scalar everywhere). All backends return bit-identical results, so the
+// once, on first use: DATC_SIMD=scalar|avx2 overrides (ignored when the
+// named backend is unavailable on the host or the name is unknown),
+// otherwise cpuid chooses AVX2 where the x86-64 host has it and scalar
+// everywhere else. All backends return bit-identical results, so the
 // choice is purely a throughput decision; tests and benches pin it with
 // force_backend().
 
@@ -20,7 +20,7 @@ namespace datc::simd {
 /// True when the host can execute `b`.
 [[nodiscard]] bool backend_available(Backend b);
 
-/// "scalar" / "avx2" / "neon".
+/// "scalar" / "avx2".
 [[nodiscard]] const char* backend_name(Backend b);
 
 /// Parses a backend name (the DATC_SIMD values); false if unrecognised.

@@ -1,7 +1,7 @@
 #pragma once
 // Vector kernel table: the hot elementwise loops of the encode path and
 // the batched gaussian stream, implemented once per backend (scalar
-// reference, AVX2, NEON) with bit-identical results. Every kernel is a
+// reference, AVX2) with bit-identical results. Every kernel is a
 // pure function over its arguments; the per-backend implementations
 // reproduce the scalar operation sequence exactly (no fma contraction,
 // same rounding at every step), which is what lets the stream-parity
@@ -17,7 +17,7 @@
 
 namespace datc::simd {
 
-enum class Backend { scalar, avx2, neon };
+enum class Backend { scalar, avx2 };
 
 /// Lerp-source geometry for the comparator mask kernel: the analog value
 /// at clock instant `pos` (in analog-sample coordinates) is
@@ -87,8 +87,6 @@ inline void gauss_tail_one(Real u, Real v, Real s, Real& z0, Real& z1) {
 /// Defined for every architecture; on non-x86 hosts it aliases the scalar
 /// table (dispatch never selects it there — backend_available gates it).
 [[nodiscard]] const KernelTable& avx2_table();
-/// Likewise aliases the scalar table off aarch64.
-[[nodiscard]] const KernelTable& neon_table();
 
 }  // namespace detail
 

@@ -1,7 +1,7 @@
 // Scalar reference kernels: the authoritative operation sequence every
 // vector backend must reproduce bit-for-bit. Kept deliberately plain —
 // one cycle / one element per iteration through the shared detail::
-// helpers, so a reader can line the AVX2/NEON bodies up against these.
+// helpers, so a reader can line the AVX2 bodies up against these.
 
 #include "simd/kernels.hpp"
 

@@ -4,7 +4,7 @@
 // vector backends cannot call it per lane anyway — so the polar gaussian
 // sampler uses this fixed fdlibm-style natural log whose operation
 // sequence is reproduced exactly, lane for lane, by every backend
-// (kernels_{scalar,avx2,neon}.cpp). No fma: plain mul/add only, so the
+// (kernels_{scalar,avx2}.cpp). No fma: plain mul/add only, so the
 // scalar reference compiles to the same roundings on machines without
 // hardware FMA (the build sets -ffp-contract=off globally to keep
 // -march=native from contracting these expressions).

@@ -1,8 +1,6 @@
-// Block-mode hot paths: the fused encode kernel, the arena-sinked
-// templated encoders and Dtc::run_frames must be bit-identical to their
-// per-cycle reference implementations for any chunking of the input.
-
-#include <random>
+// Block-mode hot paths: the fused encode kernel behind the streaming
+// encoder (and so behind encode_datc_events) must be bit-identical to the
+// per-cycle reference encode_datc for any chunking and any record length.
 
 #include <gtest/gtest.h>
 
@@ -40,11 +38,28 @@ void expect_same_events(const core::EventStream& a, const core::EventStream& b,
 class BlockEncodeTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BlockEncodeTest, EventsOnlyFastPathMatchesReference) {
-  const auto sig = test_signal(GetParam());
+  // 10000..10004 samples: every residue of the length mod 5 at
+  // 2.5 kHz / 2 kHz, so the record tail lands on, just after and between
+  // clock instants.
+  const auto full = test_signal(GetParam(), 4.01);
+  ASSERT_GE(full.size(), 10004u);
   const core::DatcEncoderConfig cfg;
-  const auto reference = core::encode_datc(sig, cfg);
-  const auto fast = core::encode_datc_events(sig, cfg);
-  expect_same_events(fast, reference.events, "encode_datc_events");
+  for (std::size_t n = 10000; n < 10005; ++n) {
+    const dsp::TimeSeries sig(
+        std::vector<Real>(full.samples().begin(),
+                          full.samples().begin() + static_cast<long>(n)),
+        full.sample_rate_hz());
+    const auto reference = core::encode_datc(sig, cfg);
+    const auto fast = core::encode_datc_events(sig, cfg);
+    SCOPED_TRACE("n=" + std::to_string(n));
+    expect_same_events(fast, reference.events, "encode_datc_events");
+
+    core::EventArena arena;
+    core::StreamingDatcEncoder enc(cfg, sig.sample_rate_hz(),
+                                   core::ArenaSink{&arena});
+    enc.push_block(sig.view());
+    EXPECT_EQ(enc.cycles(), reference.num_cycles);
+  }
 }
 
 TEST_P(BlockEncodeTest, ArenaReusedAcrossRecordsMatchesReference) {
@@ -95,8 +110,8 @@ TEST(StreamingBlockPath, ArenaSinkOddChunksMatchBatch) {
   const auto batch = core::encode_datc(sig, cfg);
 
   core::EventArena arena;
-  core::StreamingDatcEncoderT<core::ArenaSink> enc(cfg, sig.sample_rate_hz(),
-                                                   core::ArenaSink{&arena});
+  core::StreamingDatcEncoder enc(cfg, sig.sample_rate_hz(),
+                                 core::ArenaSink{&arena});
   // Feed deliberately awkward chunk sizes (1, prime, large, remainder).
   const auto& x = sig.samples();
   std::size_t i = 0;
@@ -118,13 +133,13 @@ TEST(StreamingBlockPath, BlockMatchesSampleBySample) {
   const core::DatcEncoderConfig cfg;
 
   core::EventArena by_sample;
-  core::StreamingDatcEncoderT<core::ArenaSink> ea(cfg, sig.sample_rate_hz(),
-                                                  core::ArenaSink{&by_sample});
+  core::StreamingDatcEncoder ea(cfg, sig.sample_rate_hz(),
+                                core::ArenaSink{&by_sample});
   for (const Real v : sig.samples()) ea.push(v);
 
   core::EventArena by_block;
-  core::StreamingDatcEncoderT<core::ArenaSink> eb(cfg, sig.sample_rate_hz(),
-                                                  core::ArenaSink{&by_block});
+  core::StreamingDatcEncoder eb(cfg, sig.sample_rate_hz(),
+                                core::ArenaSink{&by_block});
   eb.push_block(sig.view());
 
   expect_same_events(by_block.to_stream(), by_sample.to_stream(),
@@ -141,59 +156,6 @@ TEST(StreamingBlockPath, MetastableComparatorFallsBackToReference) {
   cfg.comparator.metastable_window_v = 0.01;
   EXPECT_THROW(core::encode_datc_events(test_signal(1, 1.0), cfg),
                std::invalid_argument);
-}
-
-TEST(DtcRunFrames, MatchesStepLoop) {
-  std::mt19937_64 gen(12345);
-  std::vector<std::uint8_t> bits(9973);  // prime length: frames straddle
-  for (auto& b : bits) b = (gen() & 3u) == 0 ? 1 : 0;
-
-  for (const auto frame : {core::FrameSize::k100, core::FrameSize::k200,
-                           core::FrameSize::k400}) {
-    core::DtcConfig cfg;
-    cfg.frame = frame;
-    core::Dtc reference(cfg);
-    core::Dtc block(cfg);
-
-    std::vector<std::uint8_t> ref_events(bits.size());
-    std::size_t ref_count = 0;
-    for (std::size_t k = 0; k < bits.size(); ++k) {
-      const auto s = reference.step(bits[k] != 0);
-      ref_events[k] = s.event ? 1 : 0;
-      ref_count += s.event;
-    }
-
-    std::vector<std::uint8_t> blk_events(bits.size());
-    // Split the block run at odd boundaries to exercise state carry-over.
-    std::size_t done = 0;
-    std::size_t events = 0;
-    const std::size_t cuts[] = {1, 130, 977, 2048, bits.size()};
-    for (const std::size_t cut : cuts) {
-      const std::size_t hi = std::min(cut, bits.size());
-      if (hi <= done) continue;
-      events += block.run_frames(
-          std::span<const std::uint8_t>(bits.data() + done, hi - done),
-          blk_events.data() + done);
-      done = hi;
-    }
-    events += block.run_frames(
-        std::span<const std::uint8_t>(bits.data() + done, bits.size() - done),
-        blk_events.data() + done);
-
-    EXPECT_EQ(events, ref_count);
-    EXPECT_EQ(blk_events, ref_events);
-    EXPECT_EQ(block.set_vth(), reference.set_vth());
-    EXPECT_EQ(block.current_count(), reference.current_count());
-    EXPECT_EQ(block.n_one3(), reference.n_one3());
-    EXPECT_EQ(block.n_one2(), reference.n_one2());
-    EXPECT_EQ(block.n_one1(), reference.n_one1());
-
-    // Continued stepping after a block run stays in lockstep.
-    for (std::size_t k = 0; k < 500; ++k) {
-      const bool d = (k / 5) % 3 == 0;
-      EXPECT_EQ(block.step(d).set_vth, reference.step(d).set_vth) << k;
-    }
-  }
 }
 
 TEST(EventArena, ReserveAndReuse) {

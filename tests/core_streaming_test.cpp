@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
 #include <numbers>
 #include <span>
 #include <vector>
@@ -42,28 +43,44 @@ dsp::TimeSeries test_signal(std::uint64_t seed, Real duration_s = 4.0) {
   return emg::make_recording(spec).emg_v;
 }
 
+/// The first n samples of `sig`.
+dsp::TimeSeries prefix(const dsp::TimeSeries& sig, std::size_t n) {
+  const auto& x = sig.samples();
+  return dsp::TimeSeries(std::vector<Real>(x.begin(), x.begin() + n),
+                         sig.sample_rate_hz());
+}
+
 class StreamingEquivalenceTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StreamingEquivalenceTest, DatcStreamingMatchesBatch) {
-  const auto sig = test_signal(GetParam());
+  // 10000..10004 samples at 2.5 kHz against the 2 kHz clock: every
+  // residue of the record length mod 5, i.e. every position of the last
+  // clock instant relative to the last sample.
+  const auto full = test_signal(GetParam(), 4.01);
+  ASSERT_GE(full.size(), 10004u);
   const core::DatcEncoderConfig cfg;
-  const auto batch = core::encode_datc(sig, cfg);
+  for (std::size_t n = 10000; n < 10005; ++n) {
+    const auto sig = prefix(full, n);
+    const auto batch = core::encode_datc(sig, cfg);
 
-  core::EventStream streamed;
-  core::StreamingDatcEncoder enc(cfg, sig.sample_rate_hz(),
-                                 [&streamed](const core::Event& e) {
-                                   streamed.add(e.time_s, e.vth_code);
-                                 });
-  enc.push_block(sig.view());
+    core::EventStream streamed;
+    core::StreamingDatcEncoder enc(cfg, sig.sample_rate_hz(),
+                                   [&streamed](const core::Event& e) {
+                                     streamed.add(e.time_s, e.vth_code);
+                                   });
+    enc.push_block(sig.view());
 
-  ASSERT_EQ(streamed.size(), batch.events.size());
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_NEAR(streamed[i].time_s, batch.events[i].time_s, 1e-12);
-    EXPECT_EQ(streamed[i].vth_code, batch.events[i].vth_code) << "i=" << i;
+    ASSERT_EQ(streamed.size(), batch.events.size()) << "n=" << n;
+    for (std::size_t i = 0; i < streamed.size(); ++i) {
+      EXPECT_EQ(streamed[i].time_s, batch.events[i].time_s)
+          << "n=" << n << " i=" << i;
+      EXPECT_EQ(streamed[i].vth_code, batch.events[i].vth_code)
+          << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(enc.cycles(), batch.num_cycles) << "n=" << n;
+    EXPECT_EQ(enc.events_emitted(), batch.events.size()) << "n=" << n;
   }
-  EXPECT_EQ(enc.cycles(), batch.num_cycles);
-  EXPECT_EQ(enc.events_emitted(), batch.events.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingEquivalenceTest,
@@ -117,7 +134,35 @@ TEST(StreamingDatc, Validation) {
   const core::DatcEncoderConfig cfg;
   EXPECT_THROW(core::StreamingDatcEncoder(cfg, 0.0, [](const core::Event&) {}),
                std::invalid_argument);
-  EXPECT_THROW(core::StreamingDatcEncoder(cfg, 2500.0, nullptr),
+}
+
+TEST(StreamingDatc, NonFiniteRatesThrow) {
+  // An infinite clock puts every clock instant at t = 0, so an encoder
+  // that accepted it would never leave its first push_block().
+  constexpr Real kInf = std::numeric_limits<Real>::infinity();
+  const auto sink = [](const core::Event&) {};
+  core::DatcEncoderConfig cfg;
+  cfg.clock_hz = kInf;
+  EXPECT_THROW(core::StreamingDatcEncoder(cfg, 2500.0, sink),
+               std::invalid_argument);
+  cfg.clock_hz = std::numeric_limits<Real>::quiet_NaN();
+  EXPECT_THROW(core::StreamingDatcEncoder(cfg, 2500.0, sink),
+               std::invalid_argument);
+  EXPECT_THROW(core::StreamingDatcEncoder(core::DatcEncoderConfig{}, kInf,
+                                          sink),
+               std::invalid_argument);
+}
+
+TEST(StreamingDatc, ReferenceRejectsNonFiniteRates) {
+  core::DatcEncoderConfig cfg;
+  cfg.clock_hz = std::numeric_limits<Real>::infinity();
+  const dsp::TimeSeries sig(std::vector<Real>{0.1, 0.2, 0.3}, 2500.0);
+  EXPECT_THROW((void)core::encode_datc(sig, cfg), std::invalid_argument);
+  EXPECT_THROW((void)core::encode_datc_events(sig, cfg),
+               std::invalid_argument);
+  const dsp::TimeSeries fast(std::vector<Real>{0.1, 0.2, 0.3},
+                             std::numeric_limits<Real>::infinity());
+  EXPECT_THROW((void)core::encode_datc(fast, core::DatcEncoderConfig{}),
                std::invalid_argument);
 }
 
@@ -138,7 +183,7 @@ TEST_P(StreamingAtcTest, MatchesBatch) {
   enc.push_block(sig.view());
   ASSERT_EQ(streamed.size(), batch.events.size());
   for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_NEAR(streamed[i].time_s, batch.events[i].time_s, 1e-12);
+    EXPECT_EQ(streamed[i].time_s, batch.events[i].time_s) << "i=" << i;
   }
 }
 

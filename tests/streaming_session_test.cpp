@@ -10,6 +10,7 @@
 #include <limits>
 #include <numeric>
 
+#include "core/datc_encoder.hpp"
 #include "core/streaming.hpp"
 #include "runtime/session.hpp"
 #include "sim/stream_parity.hpp"
@@ -77,6 +78,36 @@ TEST_P(StreamChunkParityTest, PerChannelStreamingMatchesBatchExactly) {
                 emg::datc_reconstruction_config(eval), *test_calibration()),
             -1)
       << "chunk " << GetParam();
+}
+
+TEST(StreamChunkParity, RecordTailBetweenClockInstants) {
+  // 10001 samples at 2.5 kHz: the last sample lands on clock instant 8000
+  // (t = 4 s), which a floor(duration * clock) cycle count drops from the
+  // batch side. The tail is shaped so the comparator rises between
+  // instants 7998 (pos 9997.5) and 7999 (pos 9998.75), putting a
+  // transmitted event on instant 8000 itself. This is the
+  // `datc stream --chunk 97 --verify 1` path.
+  const auto rec = make_channel(311, 4.01, 0.4);
+  ASSERT_GE(rec.emg_v.size(), 10001u);
+  std::vector<Real> x(rec.emg_v.samples().begin(),
+                      rec.emg_v.samples().begin() + 10001);
+  x[9997] = x[9998] = 0.0;
+  x[9999] = x[10000] = 2.0;
+  const dsp::TimeSeries sig(std::move(x), rec.emg_v.sample_rate_hz());
+  const emg::EvalConfig eval;
+  const auto r = sim::check_stream_parity(sig, eval, noisy_link(23),
+                                          test_calibration(),
+                                          /*chunk_size=*/97);
+  EXPECT_TRUE(r.events_equal) << "decoded streams differ: batch "
+                              << r.events_batch << " vs stream "
+                              << r.events_stream << " events";
+  EXPECT_TRUE(r.arv_equal) << "ARV diverged by " << r.max_abs_arv_diff;
+  EXPECT_GT(r.events_batch, 10u);
+  EXPECT_EQ(r.arv_samples, 10001u);
+  const auto tx =
+      core::encode_datc_events(sig, emg::datc_encoder_config(eval));
+  ASSERT_FALSE(tx.empty());
+  EXPECT_EQ(tx.events().back().time_s, 4.0);
 }
 
 // 0 = whole record in one chunk.
@@ -364,7 +395,7 @@ TEST(StreamingEncoders, ChannelTagRidesOnEveryEvent) {
   // Regression: streamed events used to hardcode AER address 0.
   const auto rec = make_channel(11, 1.0, 0.4);
   core::EventStream tagged;
-  core::StreamingDatcEncoderT<core::EventSink> enc(
+  core::StreamingDatcEncoder enc(
       core::DatcEncoderConfig{}, rec.emg_v.sample_rate_hz(),
       [&tagged](const core::Event& e) {
         tagged.add(e.time_s, e.vth_code, e.channel);
@@ -377,7 +408,7 @@ TEST(StreamingEncoders, ChannelTagRidesOnEveryEvent) {
   core::EventStream atc_tagged;
   core::AtcEncoderConfig acfg;
   acfg.threshold_v = 0.1;
-  core::StreamingAtcEncoderT<core::EventSink> aenc(
+  core::StreamingAtcEncoder aenc(
       acfg, rec.emg_v.sample_rate_hz(),
       [&atc_tagged](const core::Event& e) {
         atc_tagged.add(e.time_s, e.vth_code, e.channel);
@@ -404,7 +435,7 @@ TEST(StreamingAtc, FirstSampleAboveThresholdBootstrap) {
   ASSERT_EQ(batch.events.size(), 1u);
 
   core::EventStream streamed;
-  core::StreamingAtcEncoderT<core::EventSink> enc(
+  core::StreamingAtcEncoder enc(
       cfg, 100.0, [&streamed](const core::Event& e) {
         streamed.add(e.time_s);
       });
