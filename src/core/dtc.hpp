@@ -88,7 +88,6 @@ class Dtc {
   [[nodiscard]] std::uint32_t n_one1() const { return n_one1_; }
 
   [[nodiscard]] const DtcConfig& config() const { return config_; }
-  [[nodiscard]] const IntervalTable& intervals() const { return table_; }
 
  private:
   DtcConfig config_;

@@ -71,8 +71,6 @@ class BiquadCascade {
 
   void reset();
 
-  [[nodiscard]] std::size_t num_sections() const { return sections_.size(); }
-
   /// Combined magnitude response at normalised frequency w (rad/sample).
   [[nodiscard]] Real magnitude_at(Real w) const;
 

@@ -82,9 +82,6 @@ class Evaluator {
       const core::EventStream& events, Real duration_s) const;
 
   [[nodiscard]] const EvalConfig& config() const { return config_; }
-  [[nodiscard]] core::CalibrationPtr atc_calibration() const {
-    return atc_cal_;
-  }
   [[nodiscard]] core::CalibrationPtr datc_calibration() const {
     return datc_cal_;
   }

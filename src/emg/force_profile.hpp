@@ -17,10 +17,6 @@ using dsp::Real;
 struct ForceProfile {
   std::vector<Real> fraction_mvc;  ///< values in [0, 1]
   Real sample_rate_hz{1.0};
-
-  [[nodiscard]] dsp::TimeSeries as_series() const {
-    return dsp::TimeSeries(fraction_mvc, sample_rate_hz);
-  }
 };
 
 /// Constant hold at `level` MVC.

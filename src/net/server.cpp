@@ -274,11 +274,9 @@ class ServedSession final : public runtime::Session {
       recorder_ = std::make_unique<store::Recorder>(
           factory_->recorder_config(out_dir_));
       store::Recorder* rec = recorder_.get();
-      if (shared_ != nullptr) {
-        shared_->set_event_tee([rec](auto events) { rec->offer(events); });
-      } else {
-        private_->set_event_tee([rec](auto events) { rec->offer(events); });
-      }
+      const auto tee = [rec](auto events) { rec->offer(events); };
+      shared_ != nullptr ? shared_->set_event_tee(tee)
+                         : private_->set_event_tee(tee);
     }
   }
 
@@ -291,15 +289,8 @@ class ServedSession final : public runtime::Session {
   }
 
   void push_chunk(std::span<const Real> samples_v) override {
-    if (shared_ != nullptr) {
-      shared_->push_chunk(samples_v);
-      for (std::size_t ch = 0; ch < channels_; ++ch) {
-        shared_->drain_arv(ch, env_[ch]);
-      }
-    } else {
-      private_->push_chunk(samples_v);
-      private_->drain_arv(env_[0]);
-    }
+    engine().push_chunk(samples_v);
+    drain_envelopes();
     samples_per_channel_ += samples_v.size() / channels_;
     std::chrono::steady_clock::time_point t0;
     {
@@ -315,15 +306,8 @@ class ServedSession final : public runtime::Session {
   }
 
   void finish() override {
-    if (shared_ != nullptr) {
-      shared_->finish();
-      for (std::size_t ch = 0; ch < channels_; ++ch) {
-        shared_->drain_arv(ch, env_[ch]);
-      }
-    } else {
-      private_->finish();
-      private_->drain_arv(env_[0]);
-    }
+    engine().finish();
+    drain_envelopes();
     if (recorder_ != nullptr) recorder_->close();
     if (!out_dir_.empty()) {
       const Real fs = factory_->spec().source.sample_rate_hz;
@@ -354,6 +338,16 @@ class ServedSession final : public runtime::Session {
   }
 
  private:
+  runtime::Session& engine() {
+    return shared_ ? static_cast<runtime::Session&>(*shared_) : *private_;
+  }
+  void drain_envelopes() {
+    if (shared_ == nullptr) return private_->drain_arv(env_[0]);
+    for (std::size_t ch = 0; ch < channels_; ++ch) {
+      shared_->drain_arv(ch, env_[ch]);
+    }
+  }
+
   Server::Impl* impl_;
   std::uint64_t id_;
   std::shared_ptr<const config::PipelineFactory> factory_;
@@ -1038,6 +1032,10 @@ ServerStats Server::stats() const {
   out.chunk_to_envelope.p99_us = impl_->histo.percentile(0.99);
   out.chunk_to_envelope.max_us = impl_->histo.max_us;
   return out;
+}
+
+void Server::set_strands_held(bool held, std::size_t grants) {
+  for (auto& shard : impl_->shards) shard->set_held(held, grants);
 }
 
 }  // namespace datc::net

@@ -116,6 +116,9 @@ class Server {
 
   [[nodiscard]] ServerStats stats() const;
 
+  /// Test hook: runtime::SessionManager::set_held on every shard.
+  void set_strands_held(bool held, std::size_t grants = 0);
+
  private:
   friend class ServedSession;  ///< the cpp-local session wrapper
   struct Impl;

@@ -64,7 +64,6 @@ class EqualsConst final : public Module {
 
   void set_in(std::uint32_t v) { in_.write(v); }
   [[nodiscard]] bool out() const { return eq_.read(); }
-  void set_constant(std::uint32_t c) { constant_ = c; }
 
   void eval() override;
   void describe(std::vector<ComponentDescriptor>& out) const override;

@@ -40,6 +40,23 @@ void for_each_index(ThreadPool* pool, std::size_t n, const Fn& fn) {
   }
 }
 
+/// Reconstructs one channel's decoded (and, when asked, transmitted)
+/// stream and scores both against one ground-truth envelope.
+void score(const emg::Evaluator& eval, const RunnerConfig& config,
+           const emg::Recording& rec, const core::EventStream& tx,
+           core::EventStream& events_rx, ChannelReport& out) {
+  const Real duration = rec.emg_v.duration_s();
+  out.events_rx = events_rx.size();
+  const auto truth = eval.ground_truth(rec);
+  const auto recon_rx = eval.reconstruct_datc(events_rx, duration);
+  out.rx_correlation_pct = correlation_against(truth, recon_rx);
+  if (config.score_tx_side) {
+    const auto recon_tx = eval.reconstruct_datc(tx, duration);
+    out.tx_correlation_pct = correlation_against(truth, recon_tx);
+  }
+  if (config.keep_rx_events) out.rx_events = std::move(events_rx);
+}
+
 }  // namespace
 
 PipelineRunner::PipelineRunner(const RunnerConfig& config)
@@ -55,7 +72,6 @@ ChannelReport PipelineRunner::run_channel(const emg::Recording& rec,
                                           std::uint32_t channel_id) const {
   ChannelReport out;
   out.channel = channel_id;
-  const Real duration = rec.emg_v.duration_s();
 
   // Encode once through the fused block kernel into a preallocated arena.
   core::EventArena arena;
@@ -72,19 +88,8 @@ ChannelReport PipelineRunner::run_channel(const emg::Recording& rec,
                                           /*cache_detection=*/true);
   out.pulses_tx = link_run.pulses_tx;
   out.pulses_erased = link_run.pulses_erased;
-  auto events_rx = std::move(link_run.events_rx);
-  out.events_rx = events_rx.size();
   out.decode = link_run.decode;
-
-  // Reconstruct and score (one ground-truth envelope for both sides).
-  const auto truth = eval_.ground_truth(rec);
-  const auto recon_rx = eval_.reconstruct_datc(events_rx, duration);
-  out.rx_correlation_pct = correlation_against(truth, recon_rx);
-  if (config_.score_tx_side) {
-    const auto recon_tx = eval_.reconstruct_datc(tx, duration);
-    out.tx_correlation_pct = correlation_against(truth, recon_tx);
-  }
-  if (config_.keep_rx_events) out.rx_events = std::move(events_rx);
+  score(eval_, config_, rec, tx, link_run.events_rx, out);
   return out;
 }
 
@@ -121,18 +126,8 @@ BatchReport PipelineRunner::run_shared(
   // Stage 3 (parallel): per-channel reconstruction and scoring.
   for_each_index(
       pool, n, [this, &recordings, &tx, &link_run, &report](std::size_t i) {
-        auto& ch = report.channels[i];
-        const Real duration = recordings[i].emg_v.duration_s();
-        auto& events_rx = link_run.per_channel_rx[i];
-        ch.events_rx = events_rx.size();
-        const auto truth = eval_.ground_truth(recordings[i]);
-        const auto recon_rx = eval_.reconstruct_datc(events_rx, duration);
-        ch.rx_correlation_pct = correlation_against(truth, recon_rx);
-        if (config_.score_tx_side) {
-          const auto recon_tx = eval_.reconstruct_datc(tx[i], duration);
-          ch.tx_correlation_pct = correlation_against(truth, recon_tx);
-        }
-        if (config_.keep_rx_events) ch.rx_events = std::move(events_rx);
+        score(eval_, config_, recordings[i], tx[i],
+              link_run.per_channel_rx[i], report.channels[i]);
       });
   return report;
 }

@@ -39,6 +39,31 @@ SessionReport session_report_delta(const SessionReport& after,
   return d;
 }
 
+// ---------------------------------------------------------- EnvelopeStage
+
+void EnvelopeStage::step(std::span<const core::Event> events, bool hold,
+                         Real until_s, bool end) {
+  if (hold) {
+    quarantined_ += events.size();
+  } else {
+    recon_.push_events(events);
+  }
+  if (!end) {
+    recon_.advance_to(until_s);
+  } else if (until_s > 0.0) {
+    recon_.finish(until_s);
+  }
+  const std::size_t before = arv_.size();
+  recon_.drain(arv_);
+  if (hold) {
+    std::fill(arv_.begin() + static_cast<std::ptrdiff_t>(before), arv_.end(),
+              last_good_);
+    held_ += arv_.size() - before;
+  } else if (arv_.size() > before) {
+    last_good_ = arv_.back();
+  }
+}
+
 // ------------------------------------------------------- StreamingSession
 
 StreamingSession::StreamingSession(const SessionConfig& config,
@@ -53,7 +78,7 @@ StreamingSession::StreamingSession(const SessionConfig& config,
       link_(with_seed(config.link, config.link.seed ^ channel_id),
             config.encoder.dtc.dac_bits, /*address_bits=*/0,
             config.cache_detection),
-      reconstructor_(config.recon, config.calibration),
+      envelope_(config.recon, config.calibration),
       health_(config.health) {
   dsp::require(config_.calibration != nullptr,
                "StreamingSession: null calibration");
@@ -75,38 +100,14 @@ void StreamingSession::run_link_chunk(Real watermark, bool flush) {
   // Decode health: in private mode the garbage signal is false-alarm
   // code bits (noise decoded as data). The monitor never changes the
   // chain while disabled or healthy, preserving bit-identicality.
-  const Real duration = static_cast<Real>(samples_in_) / config_.analog_fs_hz;
+  const Real until = flush ? static_cast<Real>(samples_in_) /
+                                 config_.analog_fs_hz
+                           : link_.event_time_watermark();
   const std::uint64_t bad_bits = link_.decode_stats().false_alarm_bits;
-  health_.observe(flush ? duration : link_.event_time_watermark(),
-                  decoded_chunk_.size(),
+  health_.observe(until, decoded_chunk_.size(),
                   static_cast<std::size_t>(bad_bits - last_bad_bits_));
   last_bad_bits_ = bad_bits;
-
-  const bool hold = !health_.healthy();
-  if (hold) {
-    // Envelope hold: withhold this chunk's (suspect) events from the
-    // reconstructor; the watermark still advances, and the freshly
-    // drained samples are pinned to the last good value below.
-    events_quarantined_ += decoded_chunk_.size();
-  } else {
-    reconstructor_.push_events(decoded_chunk_.events());
-  }
-  if (flush) {
-    if (samples_in_ > 0) reconstructor_.finish(duration);
-  } else {
-    reconstructor_.advance_to(link_.event_time_watermark());
-  }
-  const std::size_t before = arv_.size();
-  reconstructor_.drain(arv_);
-  if (hold) {
-    for (std::size_t i = before; i < arv_.size(); ++i) {
-      arv_[i] = last_good_arv_;
-    }
-    arv_held_ += arv_.size() - before;
-  } else if (arv_.size() > before) {
-    last_good_arv_ = arv_.back();
-  }
-  arv_emitted_ = reconstructor_.emitted();
+  envelope_.step(decoded_chunk_.events(), !health_.healthy(), until, flush);
   peak_bytes_ = std::max(peak_bytes_, buffered_bytes());
 }
 
@@ -132,11 +133,6 @@ void StreamingSession::finish() {
   run_link_chunk(std::numeric_limits<Real>::infinity(), /*flush=*/true);
 }
 
-void StreamingSession::drain_arv(std::vector<Real>& out) {
-  out.insert(out.end(), arv_.begin(), arv_.end());
-  arv_.clear();
-}
-
 SessionReport StreamingSession::report() const {
   SessionReport r;
   r.channel = channel_id_;
@@ -145,9 +141,9 @@ SessionReport StreamingSession::report() const {
   r.pulses_tx = link_.pulses_tx();
   r.pulses_erased = link_.pulses_erased();
   r.events_rx = events_rx_;
-  r.arv_emitted = arv_emitted_;
-  r.events_quarantined = events_quarantined_;
-  r.arv_held = arv_held_;
+  r.arv_emitted = envelope_.emitted();
+  r.events_quarantined = envelope_.quarantined();
+  r.arv_held = envelope_.held();
   r.health_trips = health_.trips();
   r.decode = link_.decode_stats();
   return r;
@@ -161,8 +157,7 @@ SessionReport StreamingSession::take_delta() {
 }
 
 std::size_t StreamingSession::buffered_bytes() const {
-  return link_.buffered_bytes() + reconstructor_.buffered_bytes() +
-         arv_.capacity() * sizeof(Real) +
+  return link_.buffered_bytes() + envelope_.buffered_bytes() +
          events_chunk_.capacity() * sizeof(core::Event);
 }
 
@@ -172,7 +167,7 @@ SharedAerStreamingSession::SharedAerStreamingSession(
     const SessionConfig& config, const uwb::SharedAerConfig& shared,
     std::size_t num_channels)
     : config_(config),
-      shared_(shared),
+      arbiter_(shared.aer, num_channels),
       link_(config.link, config.encoder.dtc.dac_bits,
             shared.aer.address_bits, config.cache_detection),
       health_(config.health) {
@@ -180,148 +175,67 @@ SharedAerStreamingSession::SharedAerStreamingSession(
                "SharedAerStreamingSession: null calibration");
   dsp::require(num_channels >= 1,
                "SharedAerStreamingSession: need >= 1 channel");
-  dsp::require(shared_.aer.address_bits <= 16,
-               "SharedAerStreamingSession: address space wider than "
-               "Event::channel");
-  dsp::require(num_channels <= (std::size_t{1} << shared_.aer.address_bits),
-               "SharedAerStreamingSession: more channels than the address "
-               "space");
-  dsp::require(shared_.aer.min_spacing_s >= 0.0 &&
-                   shared_.aer.max_queue_delay_s >= 0.0,
-               "SharedAerStreamingSession: timing parameters must be "
-               "non-negative");
-  dsp::require(!shared_.ideal_radio,
+  dsp::require(!shared.ideal_radio,
                "SharedAerStreamingSession: ideal_radio is a batch-only "
                "reference mode");
-  queues_.resize(num_channels);
-  rx_events_.resize(num_channels);
-  arv_.resize(num_channels);
-  events_rx_.assign(num_channels, 0);
-  arv_emitted_.assign(num_channels, 0);
-  arv_held_.assign(num_channels, 0);
-  last_good_arv_.assign(num_channels, 0.0);
-  encoders_.reserve(num_channels);
-  reconstructors_.reserve(num_channels);
+  channels_.reserve(num_channels);
   for (std::size_t c = 0; c < num_channels; ++c) {
-    encoders_.push_back(
-        std::make_unique<core::StreamingDatcEncoder<core::ArenaSink>>(
-            config_.encoder, config_.analog_fs_hz,
-            core::ArenaSink{&events_chunk_},
-            static_cast<std::uint16_t>(c)));
-    reconstructors_.push_back(std::make_unique<core::StreamingDatcReconstructor>(
-        config_.recon, config_.calibration));
+    channels_.push_back(Channel{
+        {config_.encoder, config_.analog_fs_hz,
+         core::ArenaSink{&events_chunk_}, static_cast<std::uint16_t>(c)},
+        {config_.recon, config_.calibration}, {}, {}, 0});
   }
 }
 
-/// Pops every event that is provably next in aer_merge's stable
-/// (time, channel, FIFO) order and runs the arbiter recurrence on it.
-void SharedAerStreamingSession::merge_below(Real watermark) {
-  merged_chunk_.clear();
-  while (true) {
-    std::size_t best = queues_.size();
-    for (std::size_t c = 0; c < queues_.size(); ++c) {
-      if (queues_[c].empty()) continue;
-      if (best == queues_.size() ||
-          queues_[c].front().time_s < queues_[best].front().time_s) {
-        best = c;  // strict <: equal times keep the lower channel
-      }
-    }
-    if (best == queues_.size()) break;
-    const core::Event e = queues_[best].front();
-    // An event at or beyond the watermark may still be preceded by a
-    // future event of another (currently drained) channel: wait.
-    if (!(e.time_s < watermark)) break;
-    queues_[best].pop_front();
-    ++arbiter_.in_events;
-    const Real send_at = std::max(e.time_s, next_free_);
-    const Real delay = send_at - e.time_s;
-    if (delay > shared_.aer.max_queue_delay_s) {
-      ++arbiter_.dropped;
-      continue;
-    }
-    merged_chunk_.add(send_at, e.vth_code,
-                      static_cast<std::uint16_t>(best));
-    next_free_ = send_at + shared_.aer.min_spacing_s;
-    ++arbiter_.sent;
-    arbiter_.max_delay_s = std::max(arbiter_.max_delay_s, delay);
-  }
-}
-
-void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
+void SharedAerStreamingSession::run_link_chunk(Real release_below,
                                                Real recon_watermark_cap,
                                                bool flush) {
+  merged_chunk_.clear();
+  arbiter_.release_below(release_below, merged_chunk_);
+  // Future merged events leave at max(event time, arbiter busy-until).
   decoded_chunk_.clear();
-  link_.run_chunk(merged_chunk_.events(), merged_watermark, flush,
+  link_.run_chunk(merged_chunk_.events(),
+                  std::max(release_below, arbiter_.next_free()), flush,
                   decoded_chunk_);
 
   if (event_tee_ && !decoded_chunk_.empty()) {
     event_tee_(decoded_chunk_.events());
   }
 
-  // Decode health is link-wide in shared mode: one radio, one monitor.
-  // The garbage signal is demux address errors (decoded frames whose
-  // address is outside the channel map).
-  const Real duration = static_cast<Real>(samples_in_per_channel_) /
-                        config_.analog_fs_hz;
-  std::size_t chunk_good = 0;
-  std::size_t chunk_bad = 0;
+  const uwb::AerStats before = demux_;
   for (const auto& e : decoded_chunk_.events()) {
-    (e.channel < queues_.size() ? chunk_good : chunk_bad) += 1;
+    if (uwb::aer_route(e, channels_.size(), demux_)) {
+      channels_[e.channel].demuxed.push_back(e);
+    }
   }
-  health_.observe(flush ? duration
-                        : std::min(link_.event_time_watermark(),
-                                   recon_watermark_cap),
-                  chunk_good, chunk_bad);
-  const bool hold = !health_.healthy();
 
-  // Demux straight into the per-channel reconstructors (withholding the
-  // whole chunk while the monitor is tripped — envelope hold below).
-  for (const auto& e : decoded_chunk_.events()) {
-    ++demux_.in_events;
-    if (e.channel < queues_.size()) {
-      ++demux_.sent;
-      ++events_rx_[e.channel];
-      if (config_.keep_rx_events) {
-        rx_events_[e.channel].add(e.time_s, e.vth_code, e.channel);
+  // Decode health is link-wide in shared mode: one radio, one monitor,
+  // fed demux address errors. Arbitration backlog can push send times
+  // past the (still unknown) record end, but the reconstruction watermark
+  // must never exceed the final duration: cap it at the newest sample.
+  const Real until =
+      flush ? static_cast<Real>(samples_in_per_channel_) /
+                  config_.analog_fs_hz
+            : std::min(link_.event_time_watermark(), recon_watermark_cap);
+  health_.observe(until, demux_.sent - before.sent,
+                  demux_.invalid_address - before.invalid_address);
+  const bool hold = !health_.healthy();
+  for (auto& ch : channels_) {
+    ch.events_rx += ch.demuxed.size();
+    if (config_.keep_rx_events) {
+      for (const auto& e : ch.demuxed) {
+        ch.rx_events.add(e.time_s, e.vth_code, e.channel);
       }
-      if (hold) {
-        ++events_quarantined_;
-      } else {
-        reconstructors_[e.channel]->push_events({&e, 1});
-      }
-    } else {
-      ++demux_.invalid_address;
     }
-  }
-  // Arbitration backlog can push send times past the (still unknown)
-  // record end, but the reconstruction watermark must never exceed the
-  // final duration — cap it at the newest sample's record time.
-  const Real event_watermark =
-      std::min(link_.event_time_watermark(), recon_watermark_cap);
-  for (std::size_t c = 0; c < reconstructors_.size(); ++c) {
-    if (flush) {
-      if (samples_in_per_channel_ > 0) reconstructors_[c]->finish(duration);
-    } else {
-      reconstructors_[c]->advance_to(event_watermark);
-    }
-    const std::size_t before = arv_[c].size();
-    reconstructors_[c]->drain(arv_[c]);
-    if (hold) {
-      for (std::size_t i = before; i < arv_[c].size(); ++i) {
-        arv_[c][i] = last_good_arv_[c];
-      }
-      arv_held_[c] += arv_[c].size() - before;
-    } else if (arv_[c].size() > before) {
-      last_good_arv_[c] = arv_[c].back();
-    }
-    arv_emitted_[c] = reconstructors_[c]->emitted();
+    ch.envelope.step(ch.demuxed, hold, until, flush);
+    ch.demuxed.clear();
   }
 }
 
 void SharedAerStreamingSession::push_chunk(std::span<const Real> samples_v) {
   dsp::require(!finished_,
                "SharedAerStreamingSession: push_chunk after finish");
-  const std::size_t n_ch = queues_.size();
+  const std::size_t n_ch = channels_.size();
   dsp::require(samples_v.size() % n_ch == 0,
                "SharedAerStreamingSession: chunk must hold the same sample "
                "count for every channel (channel-major)");
@@ -330,50 +244,42 @@ void SharedAerStreamingSession::push_chunk(std::span<const Real> samples_v) {
   Real watermark = std::numeric_limits<Real>::infinity();
   for (std::size_t c = 0; c < n_ch; ++c) {
     events_chunk_.clear();
-    encoders_[c]->push_block(samples_v.subspan(c * k, k));
-    for (const auto& e : events_chunk_.events()) queues_[c].push_back(e);
-    watermark = std::min(watermark, encoders_[c]->event_time_watermark());
+    channels_[c].encoder.push_block(samples_v.subspan(c * k, k));
+    arbiter_.push(c, events_chunk_.events());
+    watermark =
+        std::min(watermark, channels_[c].encoder.event_time_watermark());
   }
   samples_in_per_channel_ += k;
   const Real t_signal = static_cast<Real>(samples_in_per_channel_) /
                         config_.analog_fs_hz;
-  watermark = std::min(watermark, t_signal);
-  merge_below(watermark);
-  // Future merged events leave at max(event time, arbiter busy-until).
-  run_link_chunk(std::max(watermark, next_free_), t_signal,
-                 /*flush=*/false);
+  run_link_chunk(std::min(watermark, t_signal), t_signal, /*flush=*/false);
 }
 
 void SharedAerStreamingSession::finish() {
   if (finished_) return;
   finished_ = true;
   const Real inf = std::numeric_limits<Real>::infinity();
-  merge_below(inf);
   run_link_chunk(inf, inf, /*flush=*/true);
 }
 
-void SharedAerStreamingSession::drain_arv(std::size_t channel,
-                                          std::vector<Real>& out) {
-  auto& src = arv_.at(channel);
-  out.insert(out.end(), src.begin(), src.end());
-  src.clear();
-}
-
 SessionReport SharedAerStreamingSession::report(std::size_t channel) const {
-  dsp::require(channel < queues_.size(),
+  dsp::require(channel < channels_.size(),
                "SharedAerStreamingSession: channel out of range");
+  const Channel& ch = channels_[channel];
   SessionReport r;
   r.channel = static_cast<std::uint32_t>(channel);
   r.samples_in = samples_in_per_channel_;
-  r.events_tx = encoders_[channel]->events_emitted();
+  r.events_tx = ch.encoder.events_emitted();
   // The radio is link-wide in shared mode; per-channel pulse counts do
   // not exist (mirrors the batch SharedLinkReport split).
-  r.events_rx = events_rx_[channel];
-  r.arv_emitted = arv_emitted_[channel];
+  r.events_rx = ch.events_rx;
+  r.arv_emitted = ch.envelope.emitted();
   // Quarantine count and trips are link-wide (one radio, one monitor);
   // held samples are per channel.
-  r.events_quarantined = events_quarantined_;
-  r.arv_held = arv_held_[channel];
+  for (const auto& other : channels_) {
+    r.events_quarantined += other.envelope.quarantined();
+  }
+  r.arv_held = ch.envelope.held();
   r.health_trips = health_.trips();
   return r;
 }
@@ -393,6 +299,7 @@ SessionManager::SessionManager(const Config& config)
 }
 
 SessionManager::~SessionManager() {
+  set_held(false);
   try {
     drain();
   } catch (...) {
@@ -426,6 +333,13 @@ void SessionManager::watchdog_loop() {
       }
     }
   }
+}
+
+void SessionManager::set_held(bool held, std::size_t grants) {
+  std::lock_guard<std::mutex> lock(mu_);
+  held_ = held;
+  held_grants_ = grants;
+  cv_hold_.notify_all();
 }
 
 std::size_t SessionManager::jobs() const { return pool_->size(); }
@@ -540,25 +454,25 @@ void SessionManager::run_strand(SessionId id) {
     std::vector<Real> chunk;
     bool do_finish = false;
     {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!slot.queue.empty()) {
-        chunk = std::move(slot.queue.front());
-        slot.queue.pop_front();
-      } else if (slot.finish_pending) {
-        slot.finish_pending = false;
-        do_finish = true;
-      } else {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (slot.queue.empty() && !slot.finish_pending) {
         slot.active = false;
         cv_idle_.notify_all();
         return;
       }
-    }
-    cv_space_.notify_all();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+      cv_hold_.wait(lock, [this] { return !held_ || held_grants_ > 0; });
+      if (held_) --held_grants_;
+      if (!slot.queue.empty()) {
+        chunk = std::move(slot.queue.front());
+        slot.queue.pop_front();
+      } else {
+        slot.finish_pending = false;
+        do_finish = true;
+      }
       slot.running = true;
       slot.run_start = std::chrono::steady_clock::now();
     }
+    cv_space_.notify_all();
     try {
       if (do_finish) {
         slot.session->finish();

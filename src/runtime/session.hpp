@@ -2,20 +2,19 @@
 // Streaming session engine: the full D-ATC chain — encode -> modulate ->
 // channel -> decode -> reconstruct — run incrementally on sample chunks
 // with O(chunk + window) working set, for long-lived sessions the batch
-// PipelineRunner cannot serve (it needs the whole recording, the whole
-// event stream and the whole pulse train in memory before scoring).
+// PipelineRunner cannot serve (it needs the whole recording in memory).
 //
-// Bit-identicality contract: for the same seeds, a session fed any
-// chunking of a recording emits exactly the events, decoded stream and
-// ARV samples of the batch pipeline (run_channel / run_shared). Each
-// stage guarantees this through watermarks and split Rng streams — see
-// uwb/streaming_link.hpp and core/streaming_reconstruct.hpp. Tests sweep
-// chunk sizes {1, 7, 64, 4096, whole record} against the batch engine.
+// Each stage has one implementation, which the batch engine runs as one
+// whole-record chunk: the streaming encoders (core/streaming.hpp), the
+// uwb::AerArbiter (shared mode), uwb::StreamingLink, and EnvelopeStage
+// over core::StreamingDatcReconstructor. So for the same seeds a session
+// fed any chunking of a recording emits exactly the events, decoded
+// stream and ARV samples of the batch pipeline; tests sweep chunk sizes
+// {1, 7, 64, 4096, whole record}.
 //
-// SessionManager multiplexes many concurrent sessions over the thread
-// pool: chunks of one session run strictly in submission order (a strand),
-// different sessions run in parallel, and a bounded per-session queue
-// gives the producer backpressure instead of unbounded buffering.
+// SessionManager multiplexes sessions over the thread pool: chunks of one
+// session run in submission order (a strand), sessions run in parallel,
+// and a bounded per-session queue gives the producer backpressure.
 
 #include <chrono>
 #include <condition_variable>
@@ -106,6 +105,41 @@ class Session {
   virtual void finish() = 0;
 };
 
+/// One channel's envelope stage, the decoded events -> ARV step both
+/// sessions run. While the caller's health monitor holds, the chunk's
+/// events are withheld from the reconstructor (quarantined) and the
+/// samples it emits are pinned to the last good value.
+class EnvelopeStage {
+ public:
+  EnvelopeStage(const core::ReconstructionConfig& recon,
+                core::CalibrationPtr calibration)
+      : recon_(recon, std::move(calibration)) {}
+
+  /// Feeds `events`, then emits every sample up to the watermark
+  /// `until_s` — or, with `end`, finishes the record at duration
+  /// `until_s` (0 = empty record, nothing to emit).
+  void step(std::span<const core::Event> events, bool hold, Real until_s,
+            bool end);
+  void drain(std::vector<Real>& out) {  ///< moves out undrained samples
+    out.insert(out.end(), arv_.begin(), arv_.end());
+    arv_.clear();
+  }
+
+  [[nodiscard]] std::size_t emitted() const { return recon_.emitted(); }
+  [[nodiscard]] std::size_t held() const { return held_; }
+  [[nodiscard]] std::size_t quarantined() const { return quarantined_; }
+  [[nodiscard]] std::size_t buffered_bytes() const {
+    return recon_.buffered_bytes() + arv_.capacity() * sizeof(Real);
+  }
+
+ private:
+  core::StreamingDatcReconstructor recon_;
+  std::vector<Real> arv_;  ///< emitted, not yet drained
+  Real last_good_{0.0};
+  std::size_t held_{0};
+  std::size_t quarantined_{0};
+};
+
 /// One channel end-to-end over its private radio (the streaming
 /// counterpart of PipelineRunner::run_channel; link seed = base ^ id).
 class StreamingSession final : public Session {
@@ -116,7 +150,7 @@ class StreamingSession final : public Session {
   void finish() override;
 
   /// Moves ARV samples emitted since the last drain into `out`.
-  void drain_arv(std::vector<Real>& out);
+  void drain_arv(std::vector<Real>& out) { envelope_.drain(out); }
 
   /// Tees every decoded chunk into `tee` (e.g. a store::Recorder). Set
   /// before the first push_chunk so the recording covers the session.
@@ -142,19 +176,14 @@ class StreamingSession final : public Session {
   core::EventArena events_chunk_;
   core::StreamingDatcEncoder<core::ArenaSink> encoder_;
   uwb::StreamingLink link_;
-  core::StreamingDatcReconstructor reconstructor_;
+  EnvelopeStage envelope_;
   core::EventStream decoded_chunk_;
-  std::vector<Real> arv_;
   core::EventStream rx_events_;
   EventTee event_tee_;
   std::size_t samples_in_{0};
   std::size_t events_rx_{0};
-  std::size_t arv_emitted_{0};
   std::size_t peak_bytes_{0};
   fault::DecodeHealthMonitor health_;
-  std::size_t events_quarantined_{0};
-  std::size_t arv_held_{0};
-  Real last_good_arv_{0.0};
   std::uint64_t last_bad_bits_{0};  ///< false_alarm_bits at previous chunk
   bool finished_{false};
   SessionReport last_delta_{};
@@ -162,12 +191,10 @@ class StreamingSession final : public Session {
   void run_link_chunk(Real watermark, bool flush);
 };
 
-/// N channels contending for ONE arbitrated AER radio, streamed: the
-/// per-channel encoders feed an incremental arbiter (carried next_free
-/// state, k-way time/channel merge — exactly aer_merge's stable order),
-/// one radio chain, and per-channel reconstructors after the demux.
-/// Chunks arrive in lockstep rounds: push_chunk takes the samples of ALL
-/// channels, channel-major ([ch0 k samples][ch1 k samples]...).
+/// N channels contending for ONE arbitrated AER radio, streamed: encoders
+/// -> uwb::AerArbiter (released at their common watermark) -> one radio
+/// -> uwb::aer_route demux -> one EnvelopeStage per channel. push_chunk
+/// takes lockstep rounds of ALL channels, channel-major ([ch0 k][ch1 k]..).
 class SharedAerStreamingSession final : public Session {
  public:
   SharedAerStreamingSession(const SessionConfig& config,
@@ -181,16 +208,20 @@ class SharedAerStreamingSession final : public Session {
   /// into `tee`; one recording captures the whole shared link.
   void set_event_tee(EventTee tee) { event_tee_ = std::move(tee); }
 
-  void drain_arv(std::size_t channel, std::vector<Real>& out);
+  void drain_arv(std::size_t channel, std::vector<Real>& out) {
+    channels_.at(channel).envelope.drain(out);
+  }
   [[nodiscard]] SessionReport report(std::size_t channel) const;
-  [[nodiscard]] const uwb::AerStats& arbiter_stats() const { return arbiter_; }
+  [[nodiscard]] const uwb::AerStats& arbiter_stats() const {
+    return arbiter_.stats();
+  }
   [[nodiscard]] const uwb::AerStats& demux_stats() const { return demux_; }
   [[nodiscard]] const uwb::DecodeStats& decode_stats() const {
     return link_.decode_stats();
   }
-  [[nodiscard]] std::size_t num_channels() const { return encoders_.size(); }
+  [[nodiscard]] std::size_t num_channels() const { return channels_.size(); }
   [[nodiscard]] const core::EventStream& rx_events(std::size_t channel) const {
-    return rx_events_[channel];
+    return channels_[channel].rx_events;
   }
   [[nodiscard]] std::size_t pulses_tx() const { return link_.pulses_tx(); }
   [[nodiscard]] std::size_t pulses_erased() const {
@@ -203,34 +234,28 @@ class SharedAerStreamingSession final : public Session {
   }
 
  private:
+  struct Channel {
+    core::StreamingDatcEncoder<core::ArenaSink> encoder;
+    EnvelopeStage envelope;
+    std::vector<core::Event> demuxed;  ///< this chunk's routed events
+    core::EventStream rx_events;
+    std::size_t events_rx{0};
+  };
+
   SessionConfig config_;
-  uwb::SharedAerConfig shared_;
   core::EventArena events_chunk_;
-  std::vector<std::unique_ptr<core::StreamingDatcEncoder<core::ArenaSink>>>
-      encoders_;
-  std::vector<std::deque<core::Event>> queues_;  ///< per-channel, pre-merge
-  uwb::AerStats arbiter_{};
-  Real next_free_{-1.0};
+  std::vector<Channel> channels_;
+  uwb::AerArbiter arbiter_;
   uwb::StreamingLink link_;
-  std::vector<std::unique_ptr<core::StreamingDatcReconstructor>>
-      reconstructors_;
   uwb::AerStats demux_{};
   core::EventStream merged_chunk_;
   core::EventStream decoded_chunk_;
   EventTee event_tee_;
-  std::vector<std::vector<Real>> arv_;
-  std::vector<core::EventStream> rx_events_;
-  std::vector<std::size_t> events_rx_;
-  std::vector<std::size_t> arv_emitted_;
   fault::DecodeHealthMonitor health_;
-  std::size_t events_quarantined_{0};
-  std::vector<std::size_t> arv_held_;
-  std::vector<Real> last_good_arv_;
   std::size_t samples_in_per_channel_{0};
   bool finished_{false};
 
-  void merge_below(Real watermark);
-  void run_link_chunk(Real merged_watermark, Real recon_watermark_cap,
+  void run_link_chunk(Real release_below, Real recon_watermark_cap,
                       bool flush);
 };
 
@@ -306,6 +331,10 @@ class SessionManager {
   /// first session exception if config.rethrow_on_drain is set.
   void drain();
 
+  /// Test hook (cf. store::Recorder::set_paused): while held, strands
+  /// start at most `grants` more chunk/finish calls; tests need no race.
+  void set_held(bool held, std::size_t grants = 0);
+
   [[nodiscard]] Session& session(SessionId id);
   [[nodiscard]] SessionHealth health(SessionId id) const;
   [[nodiscard]] std::size_t quarantined_count() const;
@@ -333,6 +362,9 @@ class SessionManager {
   mutable std::mutex mu_;
   std::condition_variable cv_space_;
   std::condition_variable cv_idle_;
+  std::condition_variable cv_hold_;
+  bool held_{false};
+  std::size_t held_grants_{0};  ///< calls a held manager still starts
   std::vector<std::unique_ptr<Slot>> slots_;
   std::exception_ptr first_error_;
   std::thread watchdog_;

@@ -1,8 +1,7 @@
 #include "sim/stream_parity.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <bit>
 #include <utility>
 
 #include "core/datc_encoder.hpp"
@@ -12,8 +11,8 @@
 #include "dsp/types.hpp"
 #include "emg/evaluation.hpp"
 #include "runtime/session.hpp"
-#include "sim/end_to_end.hpp"
 #include "store/recorder.hpp"
+#include "uwb/aer.hpp"
 #include "uwb/link_pipeline.hpp"
 
 namespace datc::sim {
@@ -22,14 +21,20 @@ namespace {
 
 /// Events equal bit-for-bit (time, code, address).
 bool events_match(const core::EventStream& a, const core::EventStream& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].time_s != b[i].time_s || a[i].vth_code != b[i].vth_code ||
-        a[i].channel != b[i].channel) {
-      return false;
-    }
-  }
-  return true;
+  return std::equal(a.events().begin(), a.events().end(), b.events().begin(),
+                    b.events().end(), [](const auto& x, const auto& y) {
+                      return x.time_s == y.time_s &&
+                             x.vth_code == y.vth_code &&
+                             x.channel == y.channel;
+                    });
+}
+
+/// Every AerStats field equal, max_delay_s bit for bit.
+bool aer_stats_match(const uwb::AerStats& a, const uwb::AerStats& b) {
+  return a.in_events == b.in_events && a.sent == b.sent &&
+         a.dropped == b.dropped && a.invalid_address == b.invalid_address &&
+         std::bit_cast<std::uint64_t>(a.max_delay_s) ==
+             std::bit_cast<std::uint64_t>(b.max_delay_s);
 }
 
 void compare_arv(const std::vector<Real>& batch,
@@ -205,10 +210,8 @@ StreamParityResult check_shared_stream_parity(
     out.stream_arv.push_back(std::move(arv_stream));
   }
   // The arbiter and demux accounting must agree as well.
-  if (session.arbiter_stats().sent != link_run.arbiter.sent ||
-      session.arbiter_stats().dropped != link_run.arbiter.dropped ||
-      session.demux_stats().invalid_address !=
-          link_run.demux.invalid_address) {
+  if (!aer_stats_match(session.arbiter_stats(), link_run.arbiter) ||
+      !aer_stats_match(session.demux_stats(), link_run.demux)) {
     out.events_equal = false;
   }
   return out;

@@ -1,79 +1,120 @@
-#include "dsp/types.hpp"
 #include "uwb/aer.hpp"
 
 #include <algorithm>
+#include <limits>
+
+#include "dsp/types.hpp"
 
 namespace datc::uwb {
 
-core::EventStream aer_merge(const std::vector<core::EventStream>& channels,
-                            const AerConfig& config, AerStats* stats) {
+namespace {
+
+// A closure type, not a function pointer, so the sorts and merges inline
+// the comparison.
+constexpr auto by_time = [](const core::Event& a, const core::Event& b) {
+  return a.time_s < b.time_s;
+};
+
+}  // namespace
+
+AerArbiter::AerArbiter(const AerConfig& config, std::size_t num_channels)
+    : config_(config),
+      released_below_(-std::numeric_limits<Real>::infinity()) {
   // core::Event::channel is 16 bits wide; a larger address space would
   // truncate addresses on tagging and alias high channels onto low ones.
   dsp::require(config.address_bits <= 16,
-               "aer_merge: address space wider than Event::channel");
-  dsp::require(channels.size() <= (std::size_t{1} << config.address_bits),
-               "aer_merge: more channels than the address space");
+               "AerArbiter: address space wider than Event::channel");
+  dsp::require(num_channels <= (std::size_t{1} << config.address_bits),
+               "AerArbiter: more channels than the address space");
   dsp::require(config.min_spacing_s >= 0.0 && config.max_queue_delay_s >= 0.0,
-               "aer_merge: timing parameters must be non-negative");
+               "AerArbiter: timing parameters must be non-negative");
+  queues_.resize(num_channels);
+}
 
-  // Gather all events with their channel addresses, channel-major. Each
-  // channel's run is normally already time-ordered (encoders emit in
-  // order); an unsorted run is stable-sorted on its own.
-  const auto by_time = [](const core::Event& a, const core::Event& b) {
-    return a.time_s < b.time_s;
-  };
-  std::size_t total = 0;
-  for (const auto& ch : channels) total += ch.size();
-  std::vector<core::Event> all;
-  all.reserve(total);
-  // Channel c's run is [run_start[c], run_start[c + 1]).
-  std::vector<std::size_t> run_start;
-  run_start.reserve(channels.size() + 1);
-  for (std::size_t c = 0; c < channels.size(); ++c) {
-    const auto first = static_cast<std::ptrdiff_t>(all.size());
-    run_start.push_back(all.size());
-    for (const auto& e : channels[c].events()) {
-      core::Event tagged = e;
-      tagged.channel = static_cast<std::uint16_t>(c);
-      all.push_back(tagged);
+void AerArbiter::push(std::size_t channel,
+                      std::span<const core::Event> events) {
+  dsp::require(channel < queues_.size(), "AerArbiter: channel out of range");
+  if (events.empty()) return;
+  auto& queue = queues_[channel];
+  const Real after = queue.empty() ? released_below_ : queue.back().time_s;
+  dsp::require(!(events.front().time_s < after),
+               "AerArbiter: events pushed out of time order");
+  queue.insert(queue.end(), events.begin(), events.end());
+}
+
+void AerArbiter::release_below(Real watermark, core::EventStream& out) {
+  released_below_ = std::max(released_below_, watermark);
+  // Gather the channels' released prefixes, channel-major and tagged with
+  // the address, behind `out`'s events; merge the runs bottom-up. Stable
+  // inplace_merge keeps the lower channel first on ties: the result is the
+  // stable sort of the channel-major concatenation.
+  std::vector<core::Event> merged = out.take();
+  const std::size_t base = merged.size();
+  std::size_t pending = 0;
+  for (const auto& queue : queues_) pending += queue.size();
+  merged.reserve(base + pending);
+  run_start_.assign(1, base);
+  for (std::size_t c = 0; c < queues_.size(); ++c) {
+    auto& queue = queues_[c];
+    const auto end = std::partition_point(
+        queue.begin(), queue.end(),
+        [watermark](const core::Event& e) { return e.time_s < watermark; });
+    for (auto it = queue.begin(); it != end; ++it) {
+      merged.push_back(
+          core::Event{it->time_s, it->vth_code, static_cast<std::uint16_t>(c)});
     }
-    if (!std::is_sorted(all.begin() + first, all.end(), by_time)) {
-      std::stable_sort(all.begin() + first, all.end(), by_time);
-    }
+    queue.erase(queue.begin(), end);
+    run_start_.push_back(merged.size());
   }
-  run_start.push_back(all.size());
-  // Merge neighbouring runs bottom-up. inplace_merge is stable and keeps
-  // the left (lower-channel) run first on ties, so the result is exactly
-  // the stable sort of the channel-major concatenation.
-  const auto run_begin = [&all, &run_start](std::size_t run) {
-    return all.begin() + static_cast<std::ptrdiff_t>(run_start[run]);
+  const std::size_t runs = queues_.size();
+  const auto run_begin = [&merged, this](std::size_t run) {
+    return merged.begin() + static_cast<std::ptrdiff_t>(run_start_[run]);
   };
-  for (std::size_t width = 1; width < channels.size(); width *= 2) {
-    for (std::size_t lo = 0; lo + width < channels.size(); lo += 2 * width) {
-      const std::size_t hi = std::min(lo + 2 * width, channels.size());
+  for (std::size_t width = 1; width < runs; width *= 2) {
+    for (std::size_t lo = 0; lo + width < runs; lo += 2 * width) {
+      const std::size_t hi = std::min(lo + 2 * width, runs);
       std::inplace_merge(run_begin(lo), run_begin(lo + width), run_begin(hi),
                          by_time);
     }
   }
 
-  AerStats local;
-  local.in_events = all.size();
-  core::EventStream out;
-  out.reserve(all.size());
-  Real next_free = -1.0;
-  for (const auto& e : all) {
-    const Real send_at = std::max(e.time_s, next_free);
+  // The recurrence, in place: sent events are compacted over dropped ones.
+  stats_.in_events += merged.size() - base;
+  std::size_t kept = base;
+  for (std::size_t i = base; i < merged.size(); ++i) {
+    const core::Event e = merged[i];
+    const Real send_at = std::max(e.time_s, next_free_);
     const Real delay = send_at - e.time_s;
-    if (delay > config.max_queue_delay_s) {
-      ++local.dropped;
+    if (delay > config_.max_queue_delay_s) {
+      ++stats_.dropped;
       continue;
     }
-    out.add(send_at, e.vth_code, e.channel);
-    next_free = send_at + config.min_spacing_s;
-    ++local.sent;
-    local.max_delay_s = std::max(local.max_delay_s, delay);
+    merged[kept++] = core::Event{send_at, e.vth_code, e.channel};
+    next_free_ = send_at + config_.min_spacing_s;
+    ++stats_.sent;
+    stats_.max_delay_s = std::max(stats_.max_delay_s, delay);
   }
-  if (stats != nullptr) *stats = local;
+  merged.resize(kept);
+  out = core::EventStream(std::move(merged));
+}
+
+core::EventStream aer_merge(const std::vector<core::EventStream>& channels,
+                            const AerConfig& config, AerStats* stats) {
+  AerArbiter arbiter(config, channels.size());
+  std::vector<core::Event> run;
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    const auto& ev = channels[c].events();
+    if (std::is_sorted(ev.begin(), ev.end(), by_time)) {
+      arbiter.push(c, ev);  // encoders emit in time order
+      continue;
+    }
+    run.assign(ev.begin(), ev.end());
+    std::stable_sort(run.begin(), run.end(), by_time);
+    arbiter.push(c, run);
+  }
+  core::EventStream out;
+  arbiter.release_below(std::numeric_limits<Real>::infinity(), out);
+  if (stats != nullptr) *stats = arbiter.stats();
   return out;
 }
 
@@ -82,14 +123,10 @@ std::vector<core::EventStream> aer_split(const core::EventStream& merged,
                                          AerStats* stats) {
   dsp::require(num_channels >= 1, "aer_split: need >= 1 channel");
   AerStats local;
-  local.in_events = merged.size();
   std::vector<core::EventStream> out(num_channels);
   for (const auto& e : merged.events()) {
-    if (e.channel < num_channels) {
+    if (aer_route(e, num_channels, local)) {
       out[e.channel].add(e.time_s, e.vth_code, e.channel);
-      ++local.sent;
-    } else {
-      ++local.invalid_address;
     }
   }
   if (stats != nullptr) *stats = local;

@@ -98,8 +98,8 @@ SharedAerRun run_aer_over_link(
   if (tx_channels.empty()) return SharedAerRun{};
   const auto num_channels = static_cast<unsigned>(tx_channels.size());
   AerStats arbiter;
-  const auto merged = aer_merge(tx_channels, shared.aer, &arbiter);
-  auto out = run_aer_over_link(merged, num_channels, link, shared, code_bits);
+  auto out = run_aer_over_link(aer_merge(tx_channels, shared.aer, &arbiter),
+                               num_channels, link, shared, code_bits);
   out.arbiter = arbiter;
   return out;
 }

@@ -112,9 +112,9 @@ struct SharedAerConfig {
   bool cache_detection{true};
 };
 
-/// One pass of the arbitrated link:
-/// per-channel TX streams -> AER merge -> modulate (marker + address +
-/// code slots) -> channel -> address-aware decode -> demux per channel.
+/// One pass of the arbitrated link: per-channel TX streams -> aer_merge
+/// -> modulate (marker + address + code slots) -> channel -> decode ->
+/// aer_split; arbiter and radio run as one whole-stream chunk each.
 struct SharedAerRun {
   core::EventStream merged_tx;  ///< arbitrated stream offered to the radio
   core::EventStream merged_rx;  ///< decoded stream (== merged_tx when ideal)

@@ -48,7 +48,6 @@ class StreamingModulator {
   void modulate_chunk(std::span<const core::Event> events, PulseTrain& train);
 
   [[nodiscard]] std::size_t pulses_emitted() const { return pulses_; }
-  [[nodiscard]] std::uint32_t packets_emitted() const { return next_id_; }
   [[nodiscard]] const ModulatorConfig& config() const { return config_; }
   [[nodiscard]] unsigned address_bits() const { return address_bits_; }
 

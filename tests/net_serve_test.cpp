@@ -99,7 +99,10 @@ class NetServeTest : public ::testing::Test {
   /// Stops the loop but keeps the Server alive: tests read stats()
   /// after the join (TearDown destroys it).
   void stop() {
-    if (server_ != nullptr) server_->request_stop();
+    if (server_ != nullptr) {
+      server_->set_strands_held(false);  // a held strand would block drain
+      server_->request_stop();
+    }
     if (loop_.joinable()) loop_.join();
   }
 
@@ -110,6 +113,19 @@ class NetServeTest : public ::testing::Test {
                                         const std::string& tenant =
                                             "default") const {
     return out_dir() + "/" + tenant + "/session-" + std::to_string(id);
+  }
+
+  /// Polls `done` until it holds or 30 s pass (a hang fails instead of
+  /// blocking the suite).
+  template <class Pred>
+  static bool wait_until(Pred done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
   }
 
   /// Streams `signal` in kChunk*channels-sample rounds and ENDs.
@@ -465,21 +481,34 @@ TEST_F(NetServeTest, MalformedPayloadIsSkippedAndTheSessionContinues) {
 TEST_F(NetServeTest, BackpressureBoundsInflightWithoutDeadlock) {
   start(fast_spec(),
         [](net::ServeConfig& cfg) { cfg.max_inflight_chunks = 1; });
+  // Held strands start a chunk only when the test grants it, which it
+  // does only after the event loop has submitted that chunk and checked
+  // the bound. So every submit finds its chunk still in flight.
+  server_->set_strands_held(true);
 
   constexpr std::size_t kChunks = 24;
   const std::vector<Real> chunk(kChunk, 0.01);
   net::Client client("127.0.0.1", port());
   client.hello(wire::HelloBody{});
   for (std::size_t i = 0; i < kChunks; ++i) client.send_chunk(chunk);
+  for (std::uint64_t i = 1; i <= kChunks; ++i) {
+    // Bound 1: chunk i is in flight, so the loop throttled the
+    // connection and reads nothing more until the strand runs it.
+    ASSERT_TRUE(wait_until([&] { return stats().throttle_events >= i; }))
+        << "chunk " << i << " never hit the inflight bound";
+    const net::ServerStats st = stats();
+    EXPECT_EQ(st.chunks_rx, i);
+    EXPECT_EQ(st.throttle_events, i);
+    server_->set_strands_held(true, /*grants=*/1);  // run chunk i only
+  }
+  server_->set_strands_held(false);
   EXPECT_GT(client.finish(), 0u);
 
   stop();
   const net::ServerStats st = stats();
   EXPECT_EQ(st.chunks_rx, kChunks);
-  // Bound 1 means a submit hits the bound whenever the strand has not
-  // already finished the chunk in the submit->check window — throttling
-  // provably engaged many times, and the session still completed.
-  EXPECT_GT(st.throttle_events, kChunks / 2);
+  // Throttling engaged on every submit, and the session still completed.
+  EXPECT_EQ(st.throttle_events, kChunks);
   EXPECT_EQ(st.sessions_finished, 1u);
 }
 

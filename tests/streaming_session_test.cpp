@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/datc_encoder.hpp"
 #include "core/streaming.hpp"
 #include "runtime/session.hpp"
 #include "sim/stream_parity.hpp"
+#include "support/aer_oracle.hpp"
 #include "support/recon_oracle.hpp"
 #include "uwb/streaming_link.hpp"
 
@@ -140,6 +142,60 @@ TEST_P(SharedStreamParityTest, SharedAerStreamingMatchesBatchExactly) {
                 emg::datc_reconstruction_config(eval), *test_calibration()),
             -1)
       << "chunk " << GetParam();
+  // events_equal also covers every arbiter and demux stat (session ==
+  // batch); the batch arbiter is held against the independent oracle.
+  std::vector<core::EventStream> tx;
+  for (const auto& ch : chans) {
+    tx.push_back(core::encode_datc_events(ch, emg::datc_encoder_config(eval)));
+  }
+  const auto oracle = test_support::oracle_aer_merge(tx, shared.aer);
+  EXPECT_GT(oracle.stats.max_delay_s, 0.0);  // collisions were arbitrated
+  uwb::AerStats batch;
+  EXPECT_EQ(test_support::first_event_mismatch(
+                uwb::aer_merge(tx, shared.aer, &batch), oracle.merged),
+            -1);
+  EXPECT_TRUE(test_support::aer_stats_bit_equal(batch, oracle.stats));
+}
+
+TEST(SharedAerSession, RejectsEveryAerConfigAerMergeRejects) {
+  auto cfg = sim::make_session_config(emg::EvalConfig{}, noisy_link(3),
+                                      test_calibration());
+  struct Bad {
+    const char* what;
+    uwb::AerConfig aer;
+    std::size_t channels;
+  };
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  std::vector<Bad> bad(6, Bad{"", uwb::AerConfig{}, 2});
+  bad[0].what = "address space wider than Event::channel";
+  bad[0].aer.address_bits = 17;
+  bad[1].what = "more channels than addresses";
+  bad[1].aer.address_bits = 2;
+  bad[1].channels = 5;
+  bad[2].what = "negative spacing";
+  bad[2].aer.min_spacing_s = -1e-6;
+  bad[3].what = "negative latency budget";
+  bad[3].aer.max_queue_delay_s = -1e-3;
+  bad[4].what = "NaN spacing";
+  bad[4].aer.min_spacing_s = nan;
+  bad[5].what = "NaN latency budget";
+  bad[5].aer.max_queue_delay_s = nan;
+  for (const auto& b : bad) {
+    const std::vector<core::EventStream> streams(b.channels);
+    EXPECT_THROW((void)uwb::aer_merge(streams, b.aer), std::invalid_argument)
+        << b.what;
+    uwb::SharedAerConfig shared;
+    shared.aer = b.aer;
+    EXPECT_THROW(runtime::SharedAerStreamingSession(cfg, shared, b.channels),
+                 std::invalid_argument)
+        << b.what;
+  }
+  // The boundary itself is legal on both paths: 2^address_bits channels.
+  uwb::SharedAerConfig full;
+  full.aer.address_bits = 2;
+  EXPECT_NO_THROW((void)uwb::aer_merge(std::vector<core::EventStream>(4),
+                                       full.aer));
+  EXPECT_NO_THROW(runtime::SharedAerStreamingSession(cfg, full, 4));
 }
 
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, SharedStreamParityTest,

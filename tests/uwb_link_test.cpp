@@ -6,6 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "dsp/rng.hpp"
@@ -13,6 +16,7 @@
 #include "uwb/channel.hpp"
 #include "uwb/modulator.hpp"
 #include "uwb/receiver.hpp"
+#include "support/aer_oracle.hpp"
 
 namespace {
 
@@ -492,9 +496,9 @@ TEST(NearSortedSort, EventStreamEqualsStableSort) {
 }
 
 // aer_merge sorts each channel run only when needed and merges the runs;
-// the arbitrated output must equal gather + one stable sort + the
-// arbiter, over random channel sets with cross-channel time ties and one
-// unsorted channel.
+// the arbitrated output must equal the oracle's gather + one stable sort
+// + the recurrence, over random channel sets with cross-channel time ties
+// and one unsorted channel.
 TEST(Aer, RunMergeEqualsGatherAndStableSort) {
   dsp::Rng rng(2718);
   for (int trial = 0; trial < 60; ++trial) {
@@ -518,41 +522,206 @@ TEST(Aer, RunMergeEqualsGatherAndStableSort) {
     cfg.min_spacing_s = trial % 2 == 0 ? 0.0 : 5e-5;
     cfg.max_queue_delay_s = trial % 3 == 0 ? 1e-4 : 1.0;
 
-    std::vector<core::Event> all;
-    for (std::size_t c = 0; c < num_channels; ++c) {
-      for (core::Event e : chans[c].events()) {
-        e.channel = static_cast<std::uint16_t>(c);
-        all.push_back(e);
-      }
-    }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const core::Event& a, const core::Event& b) {
-                       return a.time_s < b.time_s;
-                     });
-    core::EventStream want;
-    std::size_t dropped = 0;
-    Real next_free = -1.0;
-    for (const auto& e : all) {
-      const Real send_at = std::max(e.time_s, next_free);
-      if (send_at - e.time_s > cfg.max_queue_delay_s) {
-        ++dropped;
-        continue;
-      }
-      want.add(send_at, e.vth_code, e.channel);
-      next_free = send_at + cfg.min_spacing_s;
-    }
-
+    const auto want = test_support::oracle_aer_merge(chans, cfg);
     uwb::AerStats stats;
     const auto got = uwb::aer_merge(chans, cfg, &stats);
-    EXPECT_EQ(stats.dropped, dropped) << "trial " << trial;
-    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(bits(got[i].time_s), bits(want[i].time_s))
-          << "trial " << trial << " event " << i;
-      ASSERT_EQ(got[i].vth_code, want[i].vth_code) << "trial " << trial;
-      ASSERT_EQ(got[i].channel, want[i].channel) << "trial " << trial;
+    EXPECT_TRUE(test_support::aer_stats_bit_equal(stats, want.stats))
+        << "trial " << trial;
+    EXPECT_EQ(test_support::first_event_mismatch(got, want.merged), -1)
+        << "trial " << trial;
+  }
+}
+
+// ------------------------------------------- arbiter chunk schedules
+
+/// Event times and watermarks share one grid, so equal grid indices give
+/// bit-equal times: cross-channel ties and events exactly at a watermark.
+constexpr Real kTick = 1e-4;
+
+/// One seeded arbiter case: per-channel time-ordered streams on a coarse
+/// grid (cross-channel ties), some channels empty.
+struct AerCase {
+  uwb::AerConfig config;
+  std::vector<core::EventStream> channels;
+};
+
+AerCase make_aer_case(int index, dsp::Rng& rng) {
+  AerCase c;
+  // Channel count: 1, the full 2^address_bits space, or random.
+  c.config.address_bits = static_cast<unsigned>(rng.integer(1, 6));
+  const std::size_t space = std::size_t{1} << c.config.address_bits;
+  std::size_t n_ch = 0;
+  switch (index % 4) {
+    case 0: n_ch = 1; break;
+    case 1: n_ch = space; break;
+    default: n_ch = static_cast<std::size_t>(rng.integer(1, space)); break;
+  }
+  // Spacing 0 (pure merge), a slot, or a long slot; budgets from 0 (any
+  // wait drops) to effectively unbounded.
+  const Real spacings[] = {0.0, 5e-5, 3e-4};
+  const Real budgets[] = {0.0, 1e-4, 1e-3, 1.0};
+  c.config.min_spacing_s = spacings[rng.integer(0, 2)];
+  c.config.max_queue_delay_s = budgets[rng.integer(0, 3)];
+  c.channels.resize(n_ch);
+  const auto density = rng.integer(0, 3);  // 0: sparse ... 3: bursty
+  for (auto& ch : c.channels) {
+    if (rng.integer(0, 5) == 0) continue;  // empty channel
+    const auto n = rng.integer(0, 60);
+    std::int64_t tick = rng.integer(0, 10);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      tick += static_cast<std::int64_t>(rng.integer(0, 4 - density));
+      ch.add(kTick * static_cast<Real>(tick),
+             static_cast<std::uint8_t>(rng.integer(0, 15)));
     }
   }
+  return c;
+}
+
+/// Drives AerArbiter with random per-channel pushes and a monotone
+/// watermark schedule that repeats values, goes stale, pushes empty
+/// spans, and pushes past the watermark; ends with release_below(+inf).
+uwb::AerStats run_schedule(const AerCase& c, dsp::Rng& rng,
+                           core::EventStream& out) {
+  uwb::AerArbiter arbiter(c.config, c.channels.size());
+  std::vector<std::size_t> pos(c.channels.size(), 0);
+  const auto push_below = [&](std::size_t ch, Real limit) {
+    const auto& ev = c.channels[ch].events();
+    std::size_t end = pos[ch];
+    while (end < ev.size() && ev[end].time_s < limit) ++end;
+    arbiter.push(ch, std::span<const core::Event>(ev.data() + pos[ch],
+                                                  end - pos[ch]));
+    pos[ch] = end;
+  };
+  std::int64_t released = 0;  // highest watermark so far, in ticks
+  std::int64_t last = 0;
+  const auto steps = rng.integer(0, 12);
+  for (std::uint64_t s = 0; s < steps; ++s) {
+    std::int64_t w = last;
+    switch (rng.integer(0, 5)) {
+      case 0: break;  // repeat
+      case 1: w -= static_cast<std::int64_t>(rng.integer(1, 5)); break;
+      default: w += static_cast<std::int64_t>(rng.integer(0, 40)); break;
+    }
+    last = w;
+    released = std::max(released, w);
+    for (std::size_t ch = 0; ch < c.channels.size(); ++ch) {
+      // Every event below the release point must be queued before the
+      // release; a channel may push further ahead, stop exactly at the
+      // watermark (its events at w stay unpushed), or push nothing new.
+      const auto ahead =
+          rng.integer(0, 2) == 0
+              ? 0
+              : static_cast<std::int64_t>(rng.integer(0, 8));
+      push_below(ch, kTick * static_cast<Real>(released + ahead));
+    }
+    arbiter.release_below(kTick * static_cast<Real>(w), out);
+  }
+  for (std::size_t ch = 0; ch < c.channels.size(); ++ch) {
+    push_below(ch, std::numeric_limits<Real>::infinity());
+  }
+  arbiter.release_below(std::numeric_limits<Real>::infinity(), out);
+  return arbiter.stats();
+}
+
+TEST(AerArbiterOracle, AnyChunkScheduleEqualsWholeStreamOracle) {
+  dsp::Rng rng(16180);
+  std::size_t drops = 0;
+  std::size_t ties = 0;
+  for (int index = 0; index < 240; ++index) {
+    const AerCase c = make_aer_case(index, rng);
+    const auto want = test_support::oracle_aer_merge(c.channels, c.config);
+    drops += want.stats.dropped;
+    for (std::size_t i = 1; i < want.merged.size(); ++i) {
+      ties += want.merged[i].time_s == want.merged[i - 1].time_s ? 1 : 0;
+    }
+
+    core::EventStream got;
+    const uwb::AerStats stats = run_schedule(c, rng, got);
+    ASSERT_TRUE(test_support::aer_stats_bit_equal(stats, want.stats))
+        << "case " << index << ": sent " << stats.sent << " vs "
+        << want.stats.sent << ", dropped " << stats.dropped << " vs "
+        << want.stats.dropped;
+    ASSERT_EQ(test_support::first_event_mismatch(got, want.merged), -1)
+        << "case " << index;
+
+    // The batch path is the same arbiter as one whole-stream chunk.
+    uwb::AerStats batch_stats;
+    const auto batch = uwb::aer_merge(c.channels, c.config, &batch_stats);
+    ASSERT_TRUE(test_support::aer_stats_bit_equal(batch_stats, want.stats))
+        << "case " << index;
+    ASSERT_EQ(test_support::first_event_mismatch(batch, want.merged), -1)
+        << "case " << index;
+
+    // Demux against the oracle split, with address-field bit errors.
+    const auto n_ch = static_cast<unsigned>(c.channels.size());
+    core::EventStream corrupted;
+    for (const auto& e : want.merged.events()) {
+      const bool flip = rng.integer(0, 9) == 0;
+      corrupted.add(e.time_s, e.vth_code,
+                    flip ? static_cast<std::uint16_t>(e.channel + n_ch)
+                         : e.channel);
+    }
+    uwb::AerStats split_stats;
+    uwb::AerStats oracle_split_stats;
+    const auto split = uwb::aer_split(corrupted, n_ch, &split_stats);
+    const auto oracle_split =
+        test_support::oracle_aer_split(corrupted, n_ch, oracle_split_stats);
+    ASSERT_TRUE(
+        test_support::aer_stats_bit_equal(split_stats, oracle_split_stats))
+        << "case " << index;
+    for (unsigned ch = 0; ch < n_ch; ++ch) {
+      ASSERT_EQ(test_support::first_event_mismatch(split[ch],
+                                                   oracle_split[ch]),
+                -1)
+          << "case " << index << " channel " << ch;
+    }
+  }
+  // The seeded grid really exercises the drop branch and the tie order.
+  EXPECT_GT(drops, 100u);
+  EXPECT_GT(ties, 100u);
+}
+
+TEST(AerArbiterOracle, UnsortedRunsThroughAerMergeEqualOracle) {
+  // aer_merge stable-sorts a channel whose run is out of order; the
+  // oracle's single stable sort of the concatenation must agree.
+  dsp::Rng rng(31415);
+  for (int index = 0; index < 40; ++index) {
+    AerCase c = make_aer_case(index, rng);
+    for (auto& ch : c.channels) {
+      if (ch.size() < 2 || rng.integer(0, 1) == 0) continue;
+      std::vector<core::Event> ev(ch.events().begin(), ch.events().end());
+      std::reverse(ev.begin(), ev.end());
+      ch = core::EventStream(std::move(ev));
+    }
+    const auto want = test_support::oracle_aer_merge(c.channels, c.config);
+    uwb::AerStats stats;
+    const auto got = uwb::aer_merge(c.channels, c.config, &stats);
+    ASSERT_TRUE(test_support::aer_stats_bit_equal(stats, want.stats))
+        << "case " << index;
+    ASSERT_EQ(test_support::first_event_mismatch(got, want.merged), -1)
+        << "case " << index;
+  }
+}
+
+TEST(AerArbiterOracle, RejectsPushesThatBreakTheWatermarkPromise) {
+  uwb::AerArbiter arbiter(uwb::AerConfig{}, 2);
+  core::EventStream first;
+  first.add(0.002, 1);
+  arbiter.push(1, first.events());
+  core::EventStream earlier;
+  earlier.add(0.001, 2);  // before the channel's previous push
+  EXPECT_THROW(arbiter.push(1, earlier.events()), std::invalid_argument);
+
+  core::EventStream ok;
+  ok.add(0.005, 1);
+  arbiter.push(0, ok.events());
+  core::EventStream out;
+  arbiter.release_below(0.004, out);
+  core::EventStream stale;
+  stale.add(0.003, 1);  // below the released watermark
+  EXPECT_THROW(arbiter.push(1, stale.events()), std::invalid_argument);
+  EXPECT_THROW(arbiter.push(0, stale.events()), std::invalid_argument);
+  EXPECT_THROW(arbiter.push(2, ok.events()), std::invalid_argument);
 }
 
 }  // namespace
