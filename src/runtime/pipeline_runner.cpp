@@ -1,13 +1,25 @@
 #include "runtime/pipeline_runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <deque>
+#include <functional>
+#include <limits>
+#include <mutex>
+#include <optional>
+#include <utility>
 
 #include "core/datc_encoder.hpp"
 #include "core/event_arena.hpp"
+#include "core/reconstruct.hpp"
 #include "core/symbols.hpp"
 #include "dsp/stats.hpp"
+#include "dsp/types.hpp"
 #include "emg/dataset.hpp"
 #include "emg/evaluation.hpp"
+#include "runtime/session.hpp"
 #include "runtime/thread_pool.hpp"
 #include "uwb/link_pipeline.hpp"
 #include "uwb/modulator.hpp"
@@ -16,6 +28,8 @@ namespace datc::runtime {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr Real kInf = std::numeric_limits<Real>::infinity();
 
 Real seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<Real>(b - a).count();
@@ -28,17 +42,43 @@ Real correlation_against(const std::vector<Real>& truth,
                                   std::span<const Real>(recon.data(), n));
 }
 
-/// Runs `fn(i)` for every index — through the pool when one is given,
-/// in-order otherwise. Both paths write disjoint slots, so outputs are
-/// identical either way.
-template <typename Fn>
-void for_each_index(ThreadPool* pool, std::size_t n, const Fn& fn) {
-  if (pool != nullptr) {
-    parallel_for(*pool, n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
+/// Where a batch pass's tasks go: the pool, or — for run_serial — a FIFO
+/// drained on the calling thread, which is the schedule of a one-worker
+/// pool. Tasks may submit further tasks but never wait for one.
+class TaskQueue {
+ public:
+  explicit TaskQueue(ThreadPool* pool) : pool_(pool) {}
+
+  void submit(std::function<void()> task) {
+    if (pool_ != nullptr) {
+      pool_->submit(std::move(task));
+    } else {
+      fifo_.push_back(std::move(task));
+    }
   }
-}
+
+  /// Returns once every task, including those tasks submitted, has run.
+  void run() {
+    if (pool_ != nullptr) {
+      pool_->wait_idle();
+      return;
+    }
+    while (!fifo_.empty()) {
+      auto task = std::move(fifo_.front());
+      fifo_.pop_front();
+      task();
+    }
+  }
+
+  /// Threads the tasks run on (1 for the serial FIFO).
+  [[nodiscard]] std::size_t workers() const {
+    return pool_ != nullptr ? pool_->size() : 1;
+  }
+
+ private:
+  ThreadPool* pool_;
+  std::deque<std::function<void()>> fifo_;
+};
 
 /// Reconstructs one channel's decoded (and, when asked, transmitted)
 /// stream and scores both against one ground-truth envelope.
@@ -56,6 +96,250 @@ void score(const emg::Evaluator& eval, const RunnerConfig& config,
   }
   if (config.keep_rx_events) out.rx_events = std::move(events_rx);
 }
+
+/// One shared-radio pass as a dependency-driven task graph. Every channel
+/// encodes in parallel; the last encode to finish becomes the radio task,
+/// which walks uwb::SharedAerLink over chunks of one reconstruction
+/// window and hands each channel group's routed events to that group's
+/// strand. Strands run one EnvelopeStage per channel, chunks in order,
+/// while ground truth and tx-side scoring fill the other workers. The
+/// radio's chunking and the strands' watermarks change nothing in the
+/// output: every stage is chunk-invariant, so the pass equals the whole-
+/// stream run_aer_over_link + Evaluator::reconstruct_datc, bit for bit.
+class SharedPass {
+ public:
+  SharedPass(const emg::Evaluator& eval, const RunnerConfig& config,
+             std::span<const emg::Recording> recordings, BatchReport& report,
+             TaskQueue& tasks)
+      : eval_(eval),
+        config_(config),
+        recs_(recordings),
+        report_(report),
+        tasks_(tasks),
+        tx_(recordings.size()),
+        channels_(recordings.size()),
+        strands_(std::min(recordings.size(), tasks.workers())),
+        encodes_left_(recordings.size()),
+        recon_config_(emg::datc_reconstruction_config(config.eval)),
+        chunk_s_(config.eval.window_s),
+        streaming_recon_(config.eval.datc_mode ==
+                         core::DatcDecodeMode::kRateInversion) {
+    dsp::require(chunk_s_ > 0.0, "PipelineRunner: window_s must be positive");
+    const std::size_t n = recs_.size();
+    // The buffers that outlive a task are allocated here, on the calling
+    // thread, so their memory is reused from pass to pass whichever worker
+    // fills them.
+    for (std::size_t c = 0; c < n; ++c) {
+      Channel& ch = channels_[c];
+      ch.truth.reserve(recs_[c].emg_v.size());
+      if (streaming_recon_) {
+        ch.envelope.emplace(recon_config_, eval_.datc_calibration());
+        ch.recon_rx.reserve(static_cast<std::size_t>(
+            std::llround(duration(c) * recon_config_.output_fs_hz)));
+      }
+    }
+    for (std::size_t g = 0; g < strands_.size(); ++g) {
+      strands_[g].first = g * n / strands_.size();
+      strands_[g].last = (g + 1) * n / strands_.size();
+    }
+  }
+
+  void start() {
+    for (std::size_t i = 0; i < recs_.size(); ++i) {
+      tasks_.submit([this, i] { encode(i); });
+    }
+  }
+
+ private:
+  struct Channel {
+    std::optional<EnvelopeStage> envelope;  ///< rate inversion only
+    core::EventStream rx;  ///< kept for kCodeDuty or keep_rx_events
+    std::vector<Real> truth;
+    std::vector<Real> recon_rx;
+    /// Ground truth and the rx envelope; the second to land scores rx.
+    std::atomic<int> parts_left{2};
+  };
+  /// One radio chunk's routed events for a strand's channels, packed in
+  /// one exact-size block: a vector per channel per chunk raised
+  /// aer-shared's peak RSS by ~3.5 MB (jobs=1 queues every chunk).
+  struct Chunk {
+    Real watermark{0.0};
+    bool flush{false};
+    std::vector<core::Event> events;  ///< channel-major
+    std::vector<std::size_t> ends;    ///< per channel, into events
+
+    [[nodiscard]] std::span<const core::Event> of(std::size_t i) const {
+      const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+      return {events.data() + begin, ends[i] - begin};
+    }
+  };
+  struct Strand {
+    std::size_t first{0};
+    std::size_t last{0};
+    std::mutex mu;
+    std::deque<Chunk> queue;
+    bool active{false};  ///< a drain task is queued or running
+  };
+
+  const emg::Evaluator& eval_;
+  const RunnerConfig& config_;
+  std::span<const emg::Recording> recs_;
+  BatchReport& report_;
+  TaskQueue& tasks_;
+  std::vector<core::EventStream> tx_;
+  std::vector<Channel> channels_;
+  std::vector<Strand> strands_;
+  std::atomic<std::size_t> encodes_left_;
+  core::ReconstructionConfig recon_config_;
+  Real chunk_s_;
+  bool streaming_recon_;
+
+  Real duration(std::size_t c) const { return recs_[c].emg_v.duration_s(); }
+
+  void encode(std::size_t i) {
+    core::EventArena arena;
+    core::encode_datc_events(recs_[i].emg_v,
+                             emg::datc_encoder_config(config_.eval), arena);
+    tx_[i] = arena.take_stream();
+    report_.channels[i].channel = static_cast<std::uint32_t>(i);
+    report_.channels[i].events_tx = tx_[i].size();
+    tasks_.submit([this, i] { score_tx_side(i); });
+    if (encodes_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      walk_radio();
+    }
+  }
+
+  void score_tx_side(std::size_t i) {
+    Channel& ch = channels_[i];
+    const auto truth = eval_.ground_truth(recs_[i]);
+    ch.truth.assign(truth.begin(), truth.end());
+    if (config_.score_tx_side) {
+      report_.channels[i].tx_correlation_pct = correlation_against(
+          ch.truth, eval_.reconstruct_datc(tx_[i], duration(i)));
+    }
+    part_done(i);
+  }
+
+  void walk_radio() {
+    const std::size_t n = recs_.size();
+    uwb::SharedAerLink radio(config_.link, config_.shared,
+                             config_.eval.dtc.dac_bits, n);
+    Real end = 0.0;
+    for (std::size_t c = 0; c < n; ++c) end = std::max(end, duration(c));
+    std::vector<std::size_t> pushed(n, 0);
+    std::vector<std::vector<core::Event>> routed(n);
+    for (std::size_t k = 1;; ++k) {
+      const Real t = static_cast<Real>(k) * chunk_s_;
+      const bool flush = !(t < end);
+      const Real release = flush ? kInf : t;
+      // Push only what this chunk releases: the arbiter's queues stay
+      // chunk-sized.
+      for (std::size_t c = 0; c < n; ++c) {
+        const auto& ev = tx_[c].events();
+        const auto from = ev.begin() + static_cast<std::ptrdiff_t>(pushed[c]);
+        const auto to = std::partition_point(
+            from, ev.end(),
+            [release](const core::Event& e) { return e.time_s < release; });
+        radio.push(c, std::span<const core::Event>(from, to));
+        pushed[c] = static_cast<std::size_t>(to - ev.begin());
+      }
+      (void)radio.run_chunk(release, flush, routed);
+      hand_off(flush ? kInf : radio.event_time_watermark(), flush, routed);
+      if (flush) break;
+    }
+    SharedLinkReport& out = report_.shared;
+    out.arbiter = radio.arbiter_stats();
+    out.demux = radio.demux_stats();
+    out.pulses_tx = radio.pulses_tx();
+    out.pulses_erased = radio.pulses_erased();
+    out.events_rx = radio.demux_stats().in_events;
+    out.decode = radio.decode_stats();
+  }
+
+  void hand_off(Real watermark, bool flush,
+                std::vector<std::vector<core::Event>>& routed) {
+    for (std::size_t g = 0; g < strands_.size(); ++g) {
+      Strand& strand = strands_[g];
+      Chunk chunk{watermark, flush, {}, {}};
+      std::size_t size = 0;
+      for (std::size_t c = strand.first; c < strand.last; ++c) {
+        size += routed[c].size();
+      }
+      chunk.events.reserve(size);
+      chunk.ends.reserve(strand.last - strand.first);
+      for (std::size_t c = strand.first; c < strand.last; ++c) {
+        chunk.events.insert(chunk.events.end(), routed[c].begin(),
+                            routed[c].end());
+        chunk.ends.push_back(chunk.events.size());
+        routed[c].clear();
+      }
+      bool wake = false;
+      {
+        const std::lock_guard<std::mutex> lock(strand.mu);
+        strand.queue.push_back(std::move(chunk));
+        wake = !std::exchange(strand.active, true);
+      }
+      if (wake) tasks_.submit([this, g] { drain(g); });
+    }
+  }
+
+  void drain(std::size_t g) {
+    Strand& strand = strands_[g];
+    std::deque<Chunk> batch;
+    for (;;) {
+      {
+        const std::lock_guard<std::mutex> lock(strand.mu);
+        if (strand.queue.empty()) {
+          strand.active = false;
+          return;
+        }
+        batch.swap(strand.queue);
+      }
+      // Channel-major over every queued chunk, so each envelope stays in
+      // cache across its chunks (with one worker the radio queues them all).
+      for (std::size_t c = strand.first; c < strand.last; ++c) {
+        for (const Chunk& chunk : batch) {
+          step(c, chunk.of(c - strand.first), chunk.watermark, chunk.flush);
+        }
+      }
+      batch.clear();
+    }
+  }
+
+  /// Feeds one chunk of channel c's decoded events to its envelope; the
+  /// watermark is capped at the channel's own duration.
+  void step(std::size_t c, std::span<const core::Event> events,
+            Real watermark, bool flush) {
+    Channel& ch = channels_[c];
+    ChannelReport& out = report_.channels[c];
+    out.events_rx += events.size();
+    if (!streaming_recon_ || config_.keep_rx_events) {
+      for (const auto& e : events) ch.rx.add(e.time_s, e.vth_code, e.channel);
+    }
+    const Real until = std::min(watermark, duration(c));
+    if (streaming_recon_) {
+      ch.envelope->step(events, /*hold=*/false, until, flush);
+      ch.envelope->drain(ch.recon_rx);
+    }
+    if (!flush) return;
+    if (streaming_recon_) {
+      ch.envelope.reset();
+    } else {
+      ch.recon_rx = eval_.reconstruct_datc(ch.rx, until);  // kCodeDuty
+    }
+    if (config_.keep_rx_events) out.rx_events = std::move(ch.rx);
+    part_done(c);
+  }
+
+  void part_done(std::size_t c) {
+    Channel& ch = channels_[c];
+    if (ch.parts_left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    report_.channels[c].rx_correlation_pct =
+        correlation_against(ch.truth, ch.recon_rx);
+    ch.truth = {};
+    ch.recon_rx = {};
+  }
+};
 
 }  // namespace
 
@@ -97,38 +381,13 @@ BatchReport PipelineRunner::run_shared(
     std::span<const emg::Recording> recordings, ThreadPool* pool) const {
   BatchReport report;
   report.link_mode = LinkMode::kSharedAer;
-  const std::size_t n = recordings.size();
-  report.channels.resize(n);
-
-  // Stage 1 (parallel): fused block encode per channel.
-  std::vector<core::EventStream> tx(n);
-  const auto enc = emg::datc_encoder_config(config_.eval);
-  for_each_index(pool, n,
-                 [&recordings, &tx, &report, &enc](std::size_t i) {
-    core::EventArena arena;
-    core::encode_datc_events(recordings[i].emg_v, enc, arena);
-    tx[i] = arena.take_stream();
-    report.channels[i].channel = static_cast<std::uint32_t>(i);
-    report.channels[i].events_tx = tx[i].size();
-  });
-
-  // Stage 2 (one radio, inherently serial): arbitrate, modulate, cross
-  // the channel, decode addresses, demux.
-  auto link_run = uwb::run_aer_over_link(tx, config_.link, config_.shared,
-                                         config_.eval.dtc.dac_bits);
-  report.shared.arbiter = link_run.arbiter;
-  report.shared.demux = link_run.demux;
-  report.shared.pulses_tx = link_run.pulses_tx;
-  report.shared.pulses_erased = link_run.pulses_erased;
-  report.shared.events_rx = link_run.merged_rx.size();
-  report.shared.decode = link_run.decode;
-
-  // Stage 3 (parallel): per-channel reconstruction and scoring.
-  for_each_index(
-      pool, n, [this, &recordings, &tx, &link_run, &report](std::size_t i) {
-        score(eval_, config_, recordings[i], tx[i],
-              link_run.per_channel_rx[i], report.channels[i]);
-      });
+  report.channels.resize(recordings.size());
+  // An empty batch is a no-op, as in the per-channel mode.
+  if (recordings.empty()) return report;
+  TaskQueue tasks(pool);
+  SharedPass pass(eval_, config_, recordings, report, tasks);
+  pass.start();
+  tasks.run();
   return report;
 }
 
@@ -139,11 +398,14 @@ BatchReport PipelineRunner::run_batch(
     report = run_shared(recordings, pool);
   } else {
     report.channels.resize(recordings.size());
-    for_each_index(pool, recordings.size(),
-                   [this, &recordings, &report](std::size_t i) {
-                     report.channels[i] = run_channel(
-                         recordings[i], static_cast<std::uint32_t>(i));
-                   });
+    TaskQueue tasks(pool);
+    for (std::size_t i = 0; i < recordings.size(); ++i) {
+      tasks.submit([this, &recordings, &report, i] {
+        report.channels[i] =
+            run_channel(recordings[i], static_cast<std::uint32_t>(i));
+      });
+    }
+    tasks.run();
   }
   for (const auto& rec : recordings) {
     report.emg_seconds_processed += rec.emg_v.duration_s();

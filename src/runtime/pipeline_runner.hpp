@@ -5,20 +5,29 @@
 // encode kernel, cached-detection receiver).
 //
 // Two link topologies:
-//  - kPerChannel: every channel gets its own private radio (the PR-1
-//    engine), seeded Rng(link.seed ^ i).
-//  - kSharedAer: all encoders contend for ONE radio. The encode stage
-//    fans into an AER arbiter (address + code frames), the merged stream
-//    crosses one uwb::StreamingLink, and the decoded addresses demux
-//    back into per-channel reconstructions.
+//  - kPerChannel: every channel gets its own private radio, seeded
+//    Rng(link.seed ^ i); one pool task per channel.
+//  - kSharedAer: all encoders contend for ONE radio. Channels encode in
+//    parallel; the last encode to finish becomes the radio task, which
+//    walks uwb::SharedAerLink (arbiter release -> StreamingLink -> demux,
+//    the step SharedAerStreamingSession runs too) over chunks of one
+//    reconstruction window (EvalConfig::window_s). After each chunk it
+//    hands every channel group's routed events to that group's strand,
+//    which feeds one EnvelopeStage per channel, in chunk order. Ground
+//    truth and tx-side scoring are queued behind the encodes, so they and
+//    the strands fill the other workers while the radio runs: a pass
+//    takes about max(radio, rest / jobs), not their sum. No task waits on
+//    another, so jobs=1 and run_serial run the same graph in FIFO order.
 //
 // Determinism contract: channel i draws from Rng(link.seed ^ i) (per-
 // channel mode) or the single shared radio draws from Rng(link.seed)
 // (shared mode) and every worker writes only its own output slot, so the
 // parallel run is bit-identical to the serial run — and, because every
 // fast path is proven bit-identical to its reference (encode_datc,
-// UwbReceiver reference decode), also to the seed sim::EndToEnd pipeline
-// with the same per-channel seeds. Tests assert both properties.
+// UwbReceiver reference decode) and every shared stage is chunk-
+// invariant, also to the seed sim::EndToEnd pipeline with the same per-
+// channel seeds and to the whole-stream run_aer_over_link +
+// Evaluator::reconstruct_datc. Tests assert all three.
 
 #include <cstdint>
 #include <memory>

@@ -20,6 +20,12 @@ uwb::LinkConfig with_seed(uwb::LinkConfig link, std::uint64_t seed) {
   return link;
 }
 
+uwb::SharedAerConfig with_cache_detection(uwb::SharedAerConfig shared,
+                                          bool cache_detection) {
+  shared.cache_detection = cache_detection;
+  return shared;
+}
+
 }  // namespace
 
 SessionReport session_report_delta(const SessionReport& after,
@@ -167,9 +173,9 @@ SharedAerStreamingSession::SharedAerStreamingSession(
     const SessionConfig& config, const uwb::SharedAerConfig& shared,
     std::size_t num_channels)
     : config_(config),
-      arbiter_(shared.aer, num_channels),
-      link_(config.link, config.encoder.dtc.dac_bits,
-            shared.aer.address_bits, config.cache_detection),
+      radio_(config.link, with_cache_detection(shared, config.cache_detection),
+             config.encoder.dtc.dac_bits, num_channels),
+      demuxed_(num_channels),
       health_(config.health) {
   dsp::require(config_.calibration != nullptr,
                "SharedAerStreamingSession: null calibration");
@@ -183,31 +189,17 @@ SharedAerStreamingSession::SharedAerStreamingSession(
     channels_.push_back(Channel{
         {config_.encoder, config_.analog_fs_hz,
          core::ArenaSink{&events_chunk_}, static_cast<std::uint16_t>(c)},
-        {config_.recon, config_.calibration}, {}, {}, 0});
+        {config_.recon, config_.calibration}, {}, 0});
   }
 }
 
 void SharedAerStreamingSession::run_link_chunk(Real release_below,
                                                Real recon_watermark_cap,
                                                bool flush) {
-  merged_chunk_.clear();
-  arbiter_.release_below(release_below, merged_chunk_);
-  // Future merged events leave at max(event time, arbiter busy-until).
-  decoded_chunk_.clear();
-  link_.run_chunk(merged_chunk_.events(),
-                  std::max(release_below, arbiter_.next_free()), flush,
-                  decoded_chunk_);
-
-  if (event_tee_ && !decoded_chunk_.empty()) {
-    event_tee_(decoded_chunk_.events());
-  }
-
-  const uwb::AerStats before = demux_;
-  for (const auto& e : decoded_chunk_.events()) {
-    if (uwb::aer_route(e, channels_.size(), demux_)) {
-      channels_[e.channel].demuxed.push_back(e);
-    }
-  }
+  const uwb::AerStats before = radio_.demux_stats();
+  const auto& decoded = radio_.run_chunk(release_below, flush, demuxed_);
+  if (event_tee_ && !decoded.empty()) event_tee_(decoded.events());
+  const uwb::AerStats& demux = radio_.demux_stats();
 
   // Decode health is link-wide in shared mode: one radio, one monitor,
   // fed demux address errors. Arbitration backlog can push send times
@@ -216,19 +208,21 @@ void SharedAerStreamingSession::run_link_chunk(Real release_below,
   const Real until =
       flush ? static_cast<Real>(samples_in_per_channel_) /
                   config_.analog_fs_hz
-            : std::min(link_.event_time_watermark(), recon_watermark_cap);
-  health_.observe(until, demux_.sent - before.sent,
-                  demux_.invalid_address - before.invalid_address);
+            : std::min(radio_.event_time_watermark(), recon_watermark_cap);
+  health_.observe(until, demux.sent - before.sent,
+                  demux.invalid_address - before.invalid_address);
   const bool hold = !health_.healthy();
-  for (auto& ch : channels_) {
-    ch.events_rx += ch.demuxed.size();
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    Channel& ch = channels_[c];
+    auto& routed = demuxed_[c];
+    ch.events_rx += routed.size();
     if (config_.keep_rx_events) {
-      for (const auto& e : ch.demuxed) {
+      for (const auto& e : routed) {
         ch.rx_events.add(e.time_s, e.vth_code, e.channel);
       }
     }
-    ch.envelope.step(ch.demuxed, hold, until, flush);
-    ch.demuxed.clear();
+    ch.envelope.step(routed, hold, until, flush);
+    routed.clear();
   }
 }
 
@@ -245,7 +239,7 @@ void SharedAerStreamingSession::push_chunk(std::span<const Real> samples_v) {
   for (std::size_t c = 0; c < n_ch; ++c) {
     events_chunk_.clear();
     channels_[c].encoder.push_block(samples_v.subspan(c * k, k));
-    arbiter_.push(c, events_chunk_.events());
+    radio_.push(c, events_chunk_.events());
     watermark =
         std::min(watermark, channels_[c].encoder.event_time_watermark());
   }

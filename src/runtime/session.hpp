@@ -192,8 +192,8 @@ class StreamingSession final : public Session {
 };
 
 /// N channels contending for ONE arbitrated AER radio, streamed: encoders
-/// -> uwb::AerArbiter (released at their common watermark) -> one radio
-/// -> uwb::aer_route demux -> one EnvelopeStage per channel. push_chunk
+/// -> uwb::SharedAerLink (arbiter released at their common watermark ->
+/// one radio -> demux) -> one EnvelopeStage per channel. push_chunk
 /// takes lockstep rounds of ALL channels, channel-major ([ch0 k][ch1 k]..).
 class SharedAerStreamingSession final : public Session {
  public:
@@ -213,19 +213,21 @@ class SharedAerStreamingSession final : public Session {
   }
   [[nodiscard]] SessionReport report(std::size_t channel) const;
   [[nodiscard]] const uwb::AerStats& arbiter_stats() const {
-    return arbiter_.stats();
+    return radio_.arbiter_stats();
   }
-  [[nodiscard]] const uwb::AerStats& demux_stats() const { return demux_; }
-  [[nodiscard]] const uwb::DecodeStats& decode_stats() const {
-    return link_.decode_stats();
+  [[nodiscard]] const uwb::AerStats& demux_stats() const {
+    return radio_.demux_stats();
+  }
+  [[nodiscard]] uwb::DecodeStats decode_stats() const {
+    return radio_.decode_stats();
   }
   [[nodiscard]] std::size_t num_channels() const { return channels_.size(); }
   [[nodiscard]] const core::EventStream& rx_events(std::size_t channel) const {
     return channels_[channel].rx_events;
   }
-  [[nodiscard]] std::size_t pulses_tx() const { return link_.pulses_tx(); }
+  [[nodiscard]] std::size_t pulses_tx() const { return radio_.pulses_tx(); }
   [[nodiscard]] std::size_t pulses_erased() const {
-    return link_.pulses_erased();
+    return radio_.pulses_erased();
   }
   /// Link-wide health monitor (one radio → one monitor; bad = demux
   /// invalid-address outcomes).
@@ -237,7 +239,6 @@ class SharedAerStreamingSession final : public Session {
   struct Channel {
     core::StreamingDatcEncoder<core::ArenaSink> encoder;
     EnvelopeStage envelope;
-    std::vector<core::Event> demuxed;  ///< this chunk's routed events
     core::EventStream rx_events;
     std::size_t events_rx{0};
   };
@@ -245,11 +246,8 @@ class SharedAerStreamingSession final : public Session {
   SessionConfig config_;
   core::EventArena events_chunk_;
   std::vector<Channel> channels_;
-  uwb::AerArbiter arbiter_;
-  uwb::StreamingLink link_;
-  uwb::AerStats demux_{};
-  core::EventStream merged_chunk_;
-  core::EventStream decoded_chunk_;
+  uwb::SharedAerLink radio_;
+  std::vector<std::vector<core::Event>> demuxed_;  ///< this chunk, routed
   EventTee event_tee_;
   fault::DecodeHealthMonitor health_;
   std::size_t samples_in_per_channel_{0};

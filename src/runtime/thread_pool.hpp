@@ -25,8 +25,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task. Tasks must not submit to the pool they run on while a
-  /// wait_idle() is in flight with no free worker (no nested fan-out).
+  /// Enqueue a task. A running task may submit further tasks (they count
+  /// towards the same wait_idle()), but must never block waiting for one:
+  /// with every worker so blocked, nothing would run.
   void submit(std::function<void()> task);
 
   /// Block until every submitted task has finished. Rethrows the first

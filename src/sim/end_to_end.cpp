@@ -7,7 +7,6 @@
 #include "emg/dataset.hpp"
 #include "emg/evaluation.hpp"
 #include "runtime/thread_pool.hpp"
-#include "uwb/aer.hpp"
 #include "uwb/channel.hpp"
 #include "uwb/link_pipeline.hpp"
 #include "uwb/modulator.hpp"

@@ -155,7 +155,8 @@ StreamParityResult check_shared_stream_parity(
                  "record lengths");
   }
 
-  // ---- batch reference: PipelineRunner::run_shared's stages.
+  // ---- batch reference: the whole-stream shared link, then one
+  // reconstruction per channel.
   std::vector<core::EventStream> tx(n_ch);
   for (std::size_t c = 0; c < n_ch; ++c) {
     core::EventArena arena;

@@ -45,57 +45,61 @@ void AerArbiter::push(std::size_t channel,
 void AerArbiter::release_below(Real watermark, core::EventStream& out) {
   released_below_ = std::max(released_below_, watermark);
   // Gather the channels' released prefixes, channel-major and tagged with
-  // the address, behind `out`'s events; merge the runs bottom-up. Stable
-  // inplace_merge keeps the lower channel first on ties: the result is the
-  // stable sort of the channel-major concatenation.
-  std::vector<core::Event> merged = out.take();
-  const std::size_t base = merged.size();
+  // the address, then merge the runs bottom-up, ping-ponging between two
+  // reused buffers. std::merge takes the left run first on ties, so the
+  // lower channel leads: the result is the stable sort of the
+  // channel-major concatenation.
   std::size_t pending = 0;
   for (const auto& queue : queues_) pending += queue.size();
-  merged.reserve(base + pending);
-  run_start_.assign(1, base);
+  runs_.clear();
+  runs_.reserve(pending);
+  run_start_.assign(1, 0);
   for (std::size_t c = 0; c < queues_.size(); ++c) {
     auto& queue = queues_[c];
     const auto end = std::partition_point(
         queue.begin(), queue.end(),
         [watermark](const core::Event& e) { return e.time_s < watermark; });
     for (auto it = queue.begin(); it != end; ++it) {
-      merged.push_back(
+      runs_.push_back(
           core::Event{it->time_s, it->vth_code, static_cast<std::uint16_t>(c)});
     }
     queue.erase(queue.begin(), end);
-    run_start_.push_back(merged.size());
+    run_start_.push_back(runs_.size());
   }
+  merged_.resize(runs_.size());
+  std::vector<core::Event>* src = &runs_;
+  std::vector<core::Event>* dst = &merged_;
   const std::size_t runs = queues_.size();
-  const auto run_begin = [&merged, this](std::size_t run) {
-    return merged.begin() + static_cast<std::ptrdiff_t>(run_start_[run]);
+  const auto at = [this](std::vector<core::Event>* buf, std::size_t run) {
+    return buf->data() + run_start_[run];
   };
   for (std::size_t width = 1; width < runs; width *= 2) {
-    for (std::size_t lo = 0; lo + width < runs; lo += 2 * width) {
+    for (std::size_t lo = 0; lo < runs; lo += 2 * width) {
+      const std::size_t mid = std::min(lo + width, runs);
       const std::size_t hi = std::min(lo + 2 * width, runs);
-      std::inplace_merge(run_begin(lo), run_begin(lo + width), run_begin(hi),
-                         by_time);
+      std::merge(at(src, lo), at(src, mid), at(src, mid), at(src, hi),
+                 at(dst, lo), by_time);
     }
+    std::swap(src, dst);
   }
 
-  // The recurrence, in place: sent events are compacted over dropped ones.
-  stats_.in_events += merged.size() - base;
-  std::size_t kept = base;
-  for (std::size_t i = base; i < merged.size(); ++i) {
-    const core::Event e = merged[i];
+  // The recurrence, appending the sent events behind `out`'s.
+  std::vector<core::Event> sent = out.take();
+  sent.reserve(sent.size() + src->size());
+  stats_.in_events += src->size();
+  for (const core::Event& e : *src) {
     const Real send_at = std::max(e.time_s, next_free_);
     const Real delay = send_at - e.time_s;
     if (delay > config_.max_queue_delay_s) {
       ++stats_.dropped;
       continue;
     }
-    merged[kept++] = core::Event{send_at, e.vth_code, e.channel};
+    sent.push_back(core::Event{send_at, e.vth_code, e.channel});
     next_free_ = send_at + config_.min_spacing_s;
     ++stats_.sent;
     stats_.max_delay_s = std::max(stats_.max_delay_s, delay);
   }
-  merged.resize(kept);
-  out = core::EventStream(std::move(merged));
+  out = core::EventStream(std::move(sent));
 }
 
 core::EventStream aer_merge(const std::vector<core::EventStream>& channels,

@@ -58,6 +58,8 @@ class AerArbiter {
   AerConfig config_;
   std::vector<std::vector<core::Event>> queues_;  ///< per channel, pending
   std::vector<std::size_t> run_start_;  ///< one release's channel runs
+  std::vector<core::Event> runs_;       ///< merge ping-pong buffers,
+  std::vector<core::Event> merged_;     ///< reused across releases
   Real released_below_;
   Real next_free_{-1.0};
   AerStats stats_;

@@ -1,5 +1,6 @@
 #include "uwb/link_pipeline.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "dsp/rng.hpp"
@@ -75,6 +76,41 @@ std::size_t StreamingLink::buffered_bytes() const {
   return (channel_.buffered() + receiver_.pending() +
           tx_.pulses().capacity() + rx_.pulses().capacity()) *
          sizeof(PulseEmission);
+}
+
+SharedAerLink::SharedAerLink(const LinkConfig& link,
+                             const SharedAerConfig& shared, unsigned code_bits,
+                             std::size_t num_channels)
+    : arbiter_(shared.aer, num_channels) {
+  if (!shared.ideal_radio) {
+    link_.emplace(link, code_bits, shared.aer.address_bits,
+                  shared.cache_detection);
+  }
+}
+
+const core::EventStream& SharedAerLink::run_chunk(
+    Real release_below, bool flush,
+    std::span<std::vector<core::Event>> routed) {
+  released_.clear();
+  arbiter_.release_below(release_below, released_);
+  // Future released events leave at max(event time, arbiter busy-until).
+  const Real sent_after = std::max(release_below, arbiter_.next_free());
+  const core::EventStream* decoded = &released_;
+  if (link_) {
+    decoded_.clear();
+    link_->run_chunk(released_.events(), sent_after, flush, decoded_);
+    decoded = &decoded_;
+  } else {
+    ideal_watermark_ = flush ? kInf : sent_after;
+  }
+  for (const auto& e : decoded->events()) {
+    if (aer_route(e, routed.size(), demux_)) routed[e.channel].push_back(e);
+  }
+  return *decoded;
+}
+
+Real SharedAerLink::event_time_watermark() const {
+  return link_ ? link_->event_time_watermark() : ideal_watermark_;
 }
 
 DatcLinkRun run_datc_over_link(const core::EventStream& tx,

@@ -8,6 +8,8 @@
 // cannot drift.
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -110,6 +112,55 @@ struct SharedAerConfig {
   /// ideal-radio reference the noiseless equality tests compare against.
   bool ideal_radio{false};
   bool cache_detection{true};
+};
+
+/// The shared radio's one chunk step — AerArbiter release -> StreamingLink
+/// -> aer_route demux — wired once for every chunked caller (the batch
+/// runner's shared mode and SharedAerStreamingSession). Any watermark
+/// schedule decodes and routes exactly what one whole-stream chunk does.
+class SharedAerLink {
+ public:
+  SharedAerLink(const LinkConfig& link, const SharedAerConfig& shared,
+                unsigned code_bits, std::size_t num_channels);
+
+  /// Queues channel `channel`'s next time-ordered events (AerArbiter::push).
+  void push(std::size_t channel, std::span<const core::Event> events) {
+    arbiter_.push(channel, events);
+  }
+
+  /// Releases every queued event below `release_below`, sends it over the
+  /// radio (the identity under ideal_radio) and appends each decoded event
+  /// with a valid address to `routed[address]`; `flush` ends the stream.
+  /// Returns the chunk's decoded stream, every address included, valid
+  /// until the next call.
+  const core::EventStream& run_chunk(Real release_below, bool flush,
+                                     std::span<std::vector<core::Event>> routed);
+
+  /// Every future decoded event has time_s >= this bound.
+  [[nodiscard]] Real event_time_watermark() const;
+
+  [[nodiscard]] const AerStats& arbiter_stats() const {
+    return arbiter_.stats();
+  }
+  /// Demux outcomes; in_events counts every decoded event.
+  [[nodiscard]] const AerStats& demux_stats() const { return demux_; }
+  [[nodiscard]] DecodeStats decode_stats() const {
+    return link_ ? link_->decode_stats() : DecodeStats{};
+  }
+  [[nodiscard]] std::size_t pulses_tx() const {
+    return link_ ? link_->pulses_tx() : 0;
+  }
+  [[nodiscard]] std::size_t pulses_erased() const {
+    return link_ ? link_->pulses_erased() : 0;
+  }
+
+ private:
+  AerArbiter arbiter_;
+  std::optional<StreamingLink> link_;  ///< empty under ideal_radio
+  AerStats demux_{};
+  core::EventStream released_;
+  core::EventStream decoded_;
+  Real ideal_watermark_{-std::numeric_limits<Real>::infinity()};
 };
 
 /// One pass of the arbitrated link: per-channel TX streams -> aer_merge

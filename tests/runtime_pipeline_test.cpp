@@ -2,14 +2,21 @@
 // to serial output, and the fast per-channel pipeline must be bit-identical
 // to the reference sim::EndToEnd path for the same per-channel seeds.
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/datc_encoder.hpp"
+#include "core/event_arena.hpp"
+#include "dsp/stats.hpp"
 #include "runtime/pipeline_runner.hpp"
 #include "sim/end_to_end.hpp"
 #include "runtime/thread_pool.hpp"
+#include "uwb/link_pipeline.hpp"
 
 namespace {
 
@@ -241,6 +248,203 @@ TEST(PipelineRunner, SharedModeParallelMatchesSerial) {
       EXPECT_EQ(s.rx_events[k].channel, p.rx_events[k].channel);
     }
   }
+}
+
+/// The shared-radio pass over a batch, computed the whole-stream way: one
+/// run_aer_over_link, then Evaluator::reconstruct_datc per channel.
+struct WholeStreamShared {
+  uwb::SharedAerRun link;
+  std::vector<Real> rx_corr;
+  std::vector<Real> tx_corr;
+};
+
+WholeStreamShared whole_stream_shared(const runtime::RunnerConfig& cfg,
+                                      const emg::Evaluator& eval,
+                                      const std::vector<emg::Recording>& recs) {
+  std::vector<core::EventStream> tx(recs.size());
+  for (std::size_t c = 0; c < recs.size(); ++c) {
+    core::EventArena arena;
+    core::encode_datc_events(recs[c].emg_v,
+                             emg::datc_encoder_config(cfg.eval), arena);
+    tx[c] = arena.take_stream();
+  }
+  WholeStreamShared out;
+  out.link = uwb::run_aer_over_link(tx, cfg.link, cfg.shared,
+                                    cfg.eval.dtc.dac_bits);
+  const auto score = [&](const std::vector<Real>& truth,
+                         const core::EventStream& events, Real duration) {
+    const auto recon = eval.reconstruct_datc(events, duration);
+    const std::size_t n = std::min(truth.size(), recon.size());
+    return dsp::correlation_percent(std::span<const Real>(truth.data(), n),
+                                    std::span<const Real>(recon.data(), n));
+  };
+  for (std::size_t c = 0; c < recs.size(); ++c) {
+    const Real duration = recs[c].emg_v.duration_s();
+    const auto truth = eval.ground_truth(recs[c]);
+    out.rx_corr.push_back(score(truth, out.link.per_channel_rx[c], duration));
+    out.tx_corr.push_back(cfg.score_tx_side ? score(truth, tx[c], duration)
+                                            : 0.0);
+  }
+  return out;
+}
+
+bool same_events(const core::EventStream& a, const core::EventStream& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k].time_s != b[k].time_s || a[k].vth_code != b[k].vth_code ||
+        a[k].channel != b[k].channel) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool same_aer(const uwb::AerStats& a, const uwb::AerStats& b) {
+  return a.in_events == b.in_events && a.sent == b.sent &&
+         a.dropped == b.dropped && a.max_delay_s == b.max_delay_s &&
+         a.invalid_address == b.invalid_address;
+}
+
+bool same_decode(const uwb::DecodeStats& a, const uwb::DecodeStats& b) {
+  return a.pulses_in == b.pulses_in && a.pulses_detected == b.pulses_detected &&
+         a.packets_decoded == b.packets_decoded &&
+         a.code_bit_ones_missed == b.code_bit_ones_missed &&
+         a.false_alarm_bits == b.false_alarm_bits;
+}
+
+/// Bit-equality of two shared-mode reports, wall time aside.
+void expect_same_shared(const runtime::BatchReport& a,
+                        const runtime::BatchReport& b,
+                        const std::string& what) {
+  EXPECT_TRUE(same_aer(a.shared.arbiter, b.shared.arbiter)) << what;
+  EXPECT_TRUE(same_aer(a.shared.demux, b.shared.demux)) << what;
+  EXPECT_EQ(a.shared.pulses_tx, b.shared.pulses_tx) << what;
+  EXPECT_EQ(a.shared.pulses_erased, b.shared.pulses_erased) << what;
+  EXPECT_EQ(a.shared.events_rx, b.shared.events_rx) << what;
+  EXPECT_TRUE(same_decode(a.shared.decode, b.shared.decode)) << what;
+  ASSERT_EQ(a.channels.size(), b.channels.size()) << what;
+  for (std::size_t c = 0; c < a.channels.size(); ++c) {
+    const auto& x = a.channels[c];
+    const auto& y = b.channels[c];
+    EXPECT_EQ(x.channel, y.channel) << what << " ch" << c;
+    EXPECT_EQ(x.events_tx, y.events_tx) << what << " ch" << c;
+    EXPECT_EQ(x.events_rx, y.events_rx) << what << " ch" << c;
+    EXPECT_EQ(x.rx_correlation_pct, y.rx_correlation_pct) << what << " ch" << c;
+    EXPECT_EQ(x.tx_correlation_pct, y.tx_correlation_pct) << what << " ch" << c;
+    EXPECT_TRUE(same_events(x.rx_events, y.rx_events)) << what << " ch" << c;
+  }
+}
+
+TEST(PipelineRunner, SharedPipelineMatchesWholeStreamReference) {
+  // The shared pass runs its radio in reconstruction-window chunks (0.25 s)
+  // and reconstructs behind it; for every pool size, record length (none a
+  // multiple of the chunk), per-channel durations and mode it must equal
+  // run_serial and the whole-stream reference bit for bit.
+  const auto batch = [](std::vector<Real> durations, bool silent_last) {
+    std::vector<emg::Recording> recs;
+    for (std::size_t i = 0; i < durations.size(); ++i) {
+      emg::RecordingSpec spec;
+      spec.seed = 2000 + i;
+      spec.duration_s = durations[i];
+      spec.gain_v = 0.3 + 0.1 * static_cast<Real>(i);
+      if (silent_last && i + 1 == durations.size()) spec.gain_v = 0.0;
+      recs.push_back(emg::make_recording(spec));
+    }
+    return recs;
+  };
+  const std::vector<std::pair<std::string, std::vector<emg::Recording>>>
+      batches = {{"0.3s", batch({0.3, 0.3, 0.3}, false)},
+                 {"1.01s", batch({1.01, 1.01, 1.01}, false)},
+                 {"2.6s", batch({2.6, 2.6, 2.6}, false)},
+                 {"mixed+silent", batch({2.6, 0.3, 1.01, 1.7}, true)}};
+  EXPECT_EQ(batches.back().second.back().emg_v.size(), 4250u);
+
+  struct Mode {
+    std::string name;
+    void (*apply)(runtime::RunnerConfig&);
+  };
+  const std::vector<Mode> modes = {
+      {"rate-inversion", [](runtime::RunnerConfig&) {}},
+      {"code-duty",
+       [](runtime::RunnerConfig& c) {
+         c.eval.datc_mode = core::DatcDecodeMode::kCodeDuty;
+       }},
+      {"ideal-radio",
+       [](runtime::RunnerConfig& c) { c.shared.ideal_radio = true; }},
+      {"no-tx-side",
+       [](runtime::RunnerConfig& c) {
+         c.score_tx_side = false;
+         c.keep_rx_events = false;
+       }},
+  };
+
+  for (const auto& mode : modes) {
+    runtime::RunnerConfig base;
+    base.keep_rx_events = true;
+    base.link_mode = runtime::LinkMode::kSharedAer;
+    base.link.seed = 31;
+    // A lossy link and a congested arbiter: erasures, false alarms,
+    // invalid addresses and drops all occur.
+    base.link.channel.distance_m = 0.7;
+    base.link.channel.ref_loss_db = 30.0;
+    base.link.channel.erasure_prob = 0.02;
+    base.link.detector.false_alarm_prob = 1e-3;
+    base.shared.aer.address_bits = 3;
+    base.shared.aer.min_spacing_s = 2.5e-3;
+    mode.apply(base);
+    const runtime::PipelineRunner reference_runner(base);
+    for (const auto& [name, recs] : batches) {
+      const auto ref =
+          whole_stream_shared(base, reference_runner.evaluator(), recs);
+      const auto serial = reference_runner.run_serial(recs);
+      const std::string what = mode.name + " " + name;
+      EXPECT_TRUE(same_aer(serial.shared.arbiter, ref.link.arbiter)) << what;
+      EXPECT_TRUE(same_aer(serial.shared.demux, ref.link.demux)) << what;
+      EXPECT_EQ(serial.shared.pulses_tx, ref.link.pulses_tx) << what;
+      EXPECT_EQ(serial.shared.pulses_erased, ref.link.pulses_erased) << what;
+      EXPECT_EQ(serial.shared.events_rx, ref.link.merged_rx.size()) << what;
+      EXPECT_TRUE(same_decode(serial.shared.decode, ref.link.decode)) << what;
+      for (std::size_t c = 0; c < recs.size(); ++c) {
+        const auto& ch = serial.channels[c];
+        EXPECT_EQ(ch.events_rx, ref.link.per_channel_rx[c].size()) << what;
+        EXPECT_EQ(ch.rx_correlation_pct, ref.rx_corr[c]) << what << " ch" << c;
+        EXPECT_EQ(ch.tx_correlation_pct, ref.tx_corr[c]) << what << " ch" << c;
+        EXPECT_TRUE(same_events(ch.rx_events,
+                                base.keep_rx_events
+                                    ? ref.link.per_channel_rx[c]
+                                    : core::EventStream{}))
+            << what << " ch" << c;
+      }
+      for (const std::size_t jobs : {1, 2, 3, 4, 7}) {
+        runtime::RunnerConfig cfg = base;
+        cfg.jobs = jobs;
+        runtime::PipelineRunner runner(cfg);
+        expect_same_shared(runner.run(recs), serial,
+                           what + " jobs=" + std::to_string(jobs));
+      }
+    }
+  }
+  // The grid exercised what it claims to.
+  runtime::RunnerConfig probe;
+  probe.link_mode = runtime::LinkMode::kSharedAer;
+  probe.link.channel.distance_m = 0.7;
+  probe.link.channel.ref_loss_db = 30.0;
+  probe.link.channel.erasure_prob = 0.02;
+  probe.link.detector.false_alarm_prob = 1e-3;
+  probe.shared.aer.address_bits = 3;
+  probe.shared.aer.min_spacing_s = 2.5e-3;
+  const auto busy = runtime::PipelineRunner(probe).run_serial(
+      batches[2].second);
+  EXPECT_GT(busy.shared.arbiter.dropped, 0u);
+  EXPECT_GT(busy.shared.arbiter.sent, busy.shared.arbiter.dropped);
+  EXPECT_GT(busy.shared.pulses_erased, 0u);
+  EXPECT_GT(busy.shared.decode.false_alarm_bits, 0u);
+  EXPECT_GT(busy.shared.demux.invalid_address, 0u);
+  EXPECT_EQ(runtime::PipelineRunner(probe)
+                .run_serial(batches.back().second)
+                .channels.back()
+                .events_tx,
+            0u);
 }
 
 TEST(PipelineRunner, CachedDetectionMatchesReferenceDecode) {

@@ -380,10 +380,18 @@ void IncludeGraph::check_iwyu(const LayerSpec& spec,
 
   for (std::size_t i = 0; i < files_.size(); ++i) {
     const GraphFile& f = files_[i];
-    // Identifiers referenced, with the first line each appears on.
+    // Identifiers referenced, with the first line each appears on. A name
+    // after `.` or `->` is a member access (`rx.stats()`), never a use of
+    // a namespace-scope symbol some header exports.
     std::map<std::string, int> used;
-    for (const Token& t : f.tokens) {
-      if (t.kind == TokKind::kIdent) used.emplace(t.text, t.line);
+    for (std::size_t k = 0; k < f.tokens.size(); ++k) {
+      const Token& t = f.tokens[k];
+      if (t.kind != TokKind::kIdent) continue;
+      if (k > 0 && (is_punct(f.tokens[k - 1], ".") ||
+                    is_punct(f.tokens[k - 1], "->"))) {
+        continue;
+      }
+      used.emplace(t.text, t.line);
     }
     // Transitive closure of includes (excluding f itself unless cyclic).
     std::set<std::size_t> closure;
