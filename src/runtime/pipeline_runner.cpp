@@ -1,6 +1,7 @@
 #include "runtime/pipeline_runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -21,6 +22,7 @@
 #include "emg/evaluation.hpp"
 #include "runtime/session.hpp"
 #include "runtime/thread_pool.hpp"
+#include "uwb/aer.hpp"
 #include "uwb/link_pipeline.hpp"
 #include "uwb/modulator.hpp"
 
@@ -54,6 +56,15 @@ class TaskQueue {
       pool_->submit(std::move(task));
     } else {
       fifo_.push_back(std::move(task));
+    }
+  }
+
+  /// Critical-path lane: runs ahead of every task already queued.
+  void submit_front(std::function<void()> task) {
+    if (pool_ != nullptr) {
+      pool_->submit_front(std::move(task));
+    } else {
+      fifo_.push_front(std::move(task));
     }
   }
 
@@ -98,14 +109,17 @@ void score(const emg::Evaluator& eval, const RunnerConfig& config,
 }
 
 /// One shared-radio pass as a dependency-driven task graph. Every channel
-/// encodes in parallel; the last encode to finish becomes the radio task,
-/// which walks uwb::SharedAerLink over chunks of one reconstruction
-/// window and hands each channel group's routed events to that group's
-/// strand. Strands run one EnvelopeStage per channel, chunks in order,
-/// while ground truth and tx-side scoring fill the other workers. The
-/// radio's chunking and the strands' watermarks change nothing in the
-/// output: every stage is chunk-invariant, so the pass equals the whole-
-/// stream run_aer_over_link + Evaluator::reconstruct_datc, bit for bit.
+/// encodes in parallel; then the radio runs as two serial stages over
+/// chunks of one reconstruction window. The TX stage
+/// (arbiter release -> modulate -> channel) sends chunk k+1 into one of
+/// two air buffers while the RX stage (receiver -> demux) decodes chunk k
+/// and hands each channel group's routed events to that group's strand.
+/// Strands run one EnvelopeStage per channel, chunks in order, while
+/// ground truth and tx-side scoring fill the other workers behind them on
+/// the pool's back lane. The radio's chunking and the strands' watermarks
+/// change nothing in the output: every stage is chunk-invariant, so the
+/// pass equals the whole-stream run_aer_over_link +
+/// Evaluator::reconstruct_datc, bit for bit.
 class SharedPass {
  public:
   SharedPass(const emg::Evaluator& eval, const RunnerConfig& config,
@@ -119,11 +133,14 @@ class SharedPass {
         tx_(recordings.size()),
         channels_(recordings.size()),
         strands_(std::min(recordings.size(), tasks.workers())),
-        encodes_left_(recordings.size()),
         recon_config_(emg::datc_reconstruction_config(config.eval)),
         chunk_s_(config.eval.window_s),
         streaming_recon_(config.eval.datc_mode ==
-                         core::DatcDecodeMode::kRateInversion) {
+                         core::DatcDecodeMode::kRateInversion),
+        radio_(config.link, config.shared, config.eval.dtc.dac_bits,
+               recordings.size()),
+        pushed_(recordings.size(), 0),
+        routed_(recordings.size()) {
     dsp::require(chunk_s_ > 0.0, "PipelineRunner: window_s must be positive");
     const std::size_t n = recs_.size();
     // The buffers that outlive a task are allocated here, on the calling
@@ -137,6 +154,7 @@ class SharedPass {
         ch.recon_rx.reserve(static_cast<std::size_t>(
             std::llround(duration(c) * recon_config_.output_fs_hz)));
       }
+      end_ = std::max(end_, duration(c));
     }
     for (std::size_t g = 0; g < strands_.size(); ++g) {
       strands_[g].first = g * n / strands_.size();
@@ -144,10 +162,18 @@ class SharedPass {
     }
   }
 
-  void start() {
+  /// Runs the whole pass; returns once every task has run.
+  void run() {
     for (std::size_t i = 0; i < recs_.size(); ++i) {
       tasks_.submit([this, i] { encode(i); });
     }
+    tasks_.run();
+    size_air();
+    tasks_.submit_front([this] { send(0); });
+    for (std::size_t i = 0; i < recs_.size(); ++i) {
+      tasks_.submit([this, i] { score_tx_side(i); });
+    }
+    tasks_.run();
   }
 
  private:
@@ -189,10 +215,22 @@ class SharedPass {
   std::vector<core::EventStream> tx_;
   std::vector<Channel> channels_;
   std::vector<Strand> strands_;
-  std::atomic<std::size_t> encodes_left_;
   core::ReconstructionConfig recon_config_;
   Real chunk_s_;
   bool streaming_recon_;
+  Real end_{0.0};  ///< the longest channel's duration
+
+  uwb::SharedAerLink radio_;
+  std::size_t sent_{0};              ///< TX stage: chunks sent
+  std::vector<std::size_t> pushed_;  ///< TX stage: events pushed per channel
+  std::vector<std::vector<core::Event>> routed_;  ///< RX stage, per chunk
+  /// The two air buffers; TX fills one while RX decodes the other.
+  std::array<uwb::AerAirChunk, 2> air_;
+  std::mutex air_mu_;
+  std::deque<std::size_t> on_air_;  ///< sent, not yet received, in order
+  std::vector<std::size_t> free_air_{1};  ///< the first TX task takes 0
+  bool rx_active_{false};  ///< a receive task is queued or running
+  bool tx_parked_{false};  ///< TX waits for RX to return a buffer
 
   Real duration(std::size_t c) const { return recs_[c].emg_v.duration_s(); }
 
@@ -203,9 +241,52 @@ class SharedPass {
     tx_[i] = arena.take_stream();
     report_.channels[i].channel = static_cast<std::uint32_t>(i);
     report_.channels[i].events_tx = tx_[i].size();
-    tasks_.submit([this, i] { score_tx_side(i); });
-    if (encodes_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      walk_radio();
+  }
+
+  /// Chunk k's release watermark (k from 1); +inf marks the flush chunk,
+  /// the first to reach the longest channel's end.
+  [[nodiscard]] Real release_of(std::size_t k) const {
+    const Real t = static_cast<Real>(k) * chunk_s_;
+    return t < end_ ? t : kInf;
+  }
+
+  /// Channel c's events from `from` up to the release watermark.
+  [[nodiscard]] std::size_t released_end(std::size_t c, std::size_t from,
+                                         Real release) const {
+    const auto& ev = tx_[c].events();
+    return static_cast<std::size_t>(
+        std::partition_point(
+            ev.begin() + static_cast<std::ptrdiff_t>(from), ev.end(),
+            [release](const core::Event& e) { return e.time_s < release; }) -
+        ev.begin());
+  }
+
+  /// Sizes both air buffers for the largest chunk, every frame slot a
+  /// pulse. This runs on the calling thread, whose allocator then reuses
+  /// them pass after pass; grown on the workers instead, they left a
+  /// copy in each worker's malloc arena (+3 MB peak RSS on aer-shared).
+  void size_air() {
+    std::vector<std::size_t> at(recs_.size(), 0);
+    std::size_t most = 0;
+    for (std::size_t k = 1;; ++k) {
+      const Real release = release_of(k);
+      std::size_t events = 0;
+      for (std::size_t c = 0; c < recs_.size(); ++c) {
+        const std::size_t end = released_end(c, at[c], release);
+        events += end - at[c];
+        at[c] = end;
+      }
+      most = std::max(most, events);
+      if (std::isinf(release)) break;
+    }
+    const std::size_t slots = uwb::aer_symbols_per_event(
+        config_.shared.aer, config_.eval.dtc.dac_bits);
+    for (uwb::AerAirChunk& air : air_) {
+      if (config_.shared.ideal_radio) {
+        air.events.reserve(most);
+      } else {
+        air.pulses.reserve(most * slots);
+      }
     }
   }
 
@@ -220,40 +301,78 @@ class SharedPass {
     part_done(i);
   }
 
-  void walk_radio() {
-    const std::size_t n = recs_.size();
-    uwb::SharedAerLink radio(config_.link, config_.shared,
-                             config_.eval.dtc.dac_bits, n);
-    Real end = 0.0;
-    for (std::size_t c = 0; c < n; ++c) end = std::max(end, duration(c));
-    std::vector<std::size_t> pushed(n, 0);
-    std::vector<std::vector<core::Event>> routed(n);
-    for (std::size_t k = 1;; ++k) {
-      const Real t = static_cast<Real>(k) * chunk_s_;
-      const bool flush = !(t < end);
-      const Real release = flush ? kInf : t;
-      // Push only what this chunk releases: the arbiter's queues stay
-      // chunk-sized.
-      for (std::size_t c = 0; c < n; ++c) {
-        const auto& ev = tx_[c].events();
-        const auto from = ev.begin() + static_cast<std::ptrdiff_t>(pushed[c]);
-        const auto to = std::partition_point(
-            from, ev.end(),
-            [release](const core::Event& e) { return e.time_s < release; });
-        radio.push(c, std::span<const core::Event>(from, to));
-        pushed[c] = static_cast<std::size_t>(to - ev.begin());
-      }
-      (void)radio.run_chunk(release, flush, routed);
-      hand_off(flush ? kInf : radio.event_time_watermark(), flush, routed);
-      if (flush) break;
+  /// TX stage, one task per chunk: pushes the chunk's events, sends them
+  /// into air buffer `b` and queues it to the RX stage. It goes on to the
+  /// next chunk while the other buffer is free; otherwise it parks and
+  /// the RX stage resumes it with the buffer it returns.
+  void send(std::size_t b) {
+    const Real release = release_of(++sent_);
+    const bool flush = std::isinf(release);
+    // Push only what this chunk releases: the arbiter's queues stay
+    // chunk-sized.
+    for (std::size_t c = 0; c < recs_.size(); ++c) {
+      const std::size_t end = released_end(c, pushed_[c], release);
+      radio_.push(c, std::span<const core::Event>(tx_[c].events())
+                         .subspan(pushed_[c], end - pushed_[c]));
+      pushed_[c] = end;
     }
+    radio_.send_chunk(release, flush, air_[b]);
+    bool wake_rx = false;
+    std::optional<std::size_t> next;
+    {
+      const std::lock_guard<std::mutex> lock(air_mu_);
+      on_air_.push_back(b);
+      wake_rx = !std::exchange(rx_active_, true);
+      if (!flush) {
+        if (free_air_.empty()) {
+          tx_parked_ = true;
+        } else {
+          next = free_air_.back();
+          free_air_.pop_back();
+        }
+      }
+    }
+    if (wake_rx) tasks_.submit_front([this] { receive(); });
+    if (next) tasks_.submit_front([this, nb = *next] { send(nb); });
+  }
+
+  /// RX stage, a strand over the sent buffers: decodes and routes each
+  /// chunk in order, hands it off, and returns its buffer.
+  void receive() {
+    for (;;) {
+      std::size_t b = 0;
+      {
+        const std::lock_guard<std::mutex> lock(air_mu_);
+        if (on_air_.empty()) {
+          rx_active_ = false;
+          return;
+        }
+        b = on_air_.front();
+        on_air_.pop_front();
+      }
+      const bool flush = air_[b].flush;
+      radio_.receive_chunk(air_[b], routed_);
+      hand_off(flush ? kInf : radio_.event_time_watermark(), flush, routed_);
+      if (flush) report_radio();
+      bool resume = false;
+      {
+        const std::lock_guard<std::mutex> lock(air_mu_);
+        resume = std::exchange(tx_parked_, false);
+        if (!resume) free_air_.push_back(b);
+      }
+      if (resume) tasks_.submit_front([this, b] { send(b); });
+    }
+  }
+
+  /// Runs after the flush chunk is received: the TX stage has finished.
+  void report_radio() {
     SharedLinkReport& out = report_.shared;
-    out.arbiter = radio.arbiter_stats();
-    out.demux = radio.demux_stats();
-    out.pulses_tx = radio.pulses_tx();
-    out.pulses_erased = radio.pulses_erased();
-    out.events_rx = radio.demux_stats().in_events;
-    out.decode = radio.decode_stats();
+    out.arbiter = radio_.arbiter_stats();
+    out.demux = radio_.demux_stats();
+    out.pulses_tx = radio_.pulses_tx();
+    out.pulses_erased = radio_.pulses_erased();
+    out.events_rx = radio_.demux_stats().in_events;
+    out.decode = radio_.decode_stats();
   }
 
   void hand_off(Real watermark, bool flush,
@@ -279,7 +398,7 @@ class SharedPass {
         strand.queue.push_back(std::move(chunk));
         wake = !std::exchange(strand.active, true);
       }
-      if (wake) tasks_.submit([this, g] { drain(g); });
+      if (wake) tasks_.submit_front([this, g] { drain(g); });
     }
   }
 
@@ -386,8 +505,7 @@ BatchReport PipelineRunner::run_shared(
   if (recordings.empty()) return report;
   TaskQueue tasks(pool);
   SharedPass pass(eval_, config_, recordings, report, tasks);
-  pass.start();
-  tasks.run();
+  pass.run();
   return report;
 }
 

@@ -8,16 +8,20 @@
 //  - kPerChannel: every channel gets its own private radio, seeded
 //    Rng(link.seed ^ i); one pool task per channel.
 //  - kSharedAer: all encoders contend for ONE radio. Channels encode in
-//    parallel; the last encode to finish becomes the radio task, which
-//    walks uwb::SharedAerLink (arbiter release -> StreamingLink -> demux,
-//    the step SharedAerStreamingSession runs too) over chunks of one
-//    reconstruction window (EvalConfig::window_s). After each chunk it
-//    hands every channel group's routed events to that group's strand,
-//    which feeds one EnvelopeStage per channel, in chunk order. Ground
-//    truth and tx-side scoring are queued behind the encodes, so they and
-//    the strands fill the other workers while the radio runs: a pass
-//    takes about max(radio, rest / jobs), not their sum. No task waits on
-//    another, so jobs=1 and run_serial run the same graph in FIFO order.
+//    parallel; then the calling thread sizes the radio's two air buffers
+//    for the largest chunk and starts the radio, which walks
+//    uwb::SharedAerLink (arbiter release -> StreamingLink -> demux, the
+//    step SharedAerStreamingSession runs too) over chunks of one
+//    reconstruction window (EvalConfig::window_s) as two serial stages
+//    that overlap: a TX task per chunk (send_chunk: release, modulate,
+//    channel) fills one of two air buffers while the RX strand
+//    (receive_chunk: receiver, demux) decodes the other, in chunk order,
+//    and hands every channel group's routed events to that group's
+//    strand, which feeds one EnvelopeStage per channel. TX, RX and the
+//    envelope strands go to the pool's front lane; ground truth and
+//    tx-side scoring queue behind them and fill the other workers, so a
+//    pass takes about max(TX, RX, rest / jobs), not their sum. No task
+//    waits on another, so jobs=1 and run_serial run the same graph.
 //
 // Determinism contract: channel i draws from Rng(link.seed ^ i) (per-
 // channel mode) or the single shared radio draws from Rng(link.seed)

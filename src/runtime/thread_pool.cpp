@@ -27,9 +27,21 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  enqueue(std::move(task), /*front=*/false);
+}
+
+void ThreadPool::submit_front(std::function<void()> task) {
+  enqueue(std::move(task), /*front=*/true);
+}
+
+void ThreadPool::enqueue(std::function<void()> task, bool front) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    if (front) {
+      queue_.push_front(std::move(task));
+    } else {
+      queue_.push_back(std::move(task));
+    }
     ++in_flight_;
   }
   cv_task_.notify_one();

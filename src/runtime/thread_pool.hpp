@@ -30,6 +30,12 @@ class ThreadPool {
   /// with every worker so blocked, nothing would run.
   void submit(std::function<void()> task);
 
+  /// As submit(), but the task goes to the front of the queue: the next
+  /// free worker runs it ahead of everything already queued (the latest
+  /// front submission first). For critical-path work that background
+  /// tasks must not delay.
+  void submit_front(std::function<void()> task);
+
   /// Block until every submitted task has finished. Rethrows the first
   /// exception thrown by any task since the last wait_idle().
   void wait_idle();
@@ -40,6 +46,7 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  void enqueue(std::function<void()> task, bool front);
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;

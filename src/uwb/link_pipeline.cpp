@@ -60,16 +60,22 @@ StreamingLink::StreamingLink(const LinkConfig& link, unsigned code_bits,
 void StreamingLink::run_chunk(std::span<const core::Event> events,
                               Real watermark, bool flush,
                               core::EventStream& out) {
+  rx_.clear();
+  const Real rx_watermark = transmit_chunk(events, watermark, flush, rx_);
+  receive_chunk(rx_, rx_watermark, out);
+}
+
+Real StreamingLink::transmit_chunk(std::span<const core::Event> events,
+                                   Real watermark, bool flush,
+                                   PulseTrain& rx) {
   tx_.clear();
   // Worst case: every slot of every frame carries a pulse.
   tx_.reserve(events.size() * (1 + modulator_.address_bits() +
                                modulator_.config().code_bits));
   modulator_.modulate_chunk(events, tx_);
-  rx_.clear();
-  channel_.propagate_chunk(tx_, watermark, rx_);
-  if (flush) channel_.flush(rx_);
-  receiver_.decode_chunk(rx_, flush ? kInf : channel_.release_watermark(),
-                         out);
+  channel_.propagate_chunk(tx_, watermark, rx);
+  if (flush) channel_.flush(rx);
+  return flush ? kInf : channel_.release_watermark();
 }
 
 std::size_t StreamingLink::buffered_bytes() const {
@@ -91,17 +97,35 @@ SharedAerLink::SharedAerLink(const LinkConfig& link,
 const core::EventStream& SharedAerLink::run_chunk(
     Real release_below, bool flush,
     std::span<std::vector<core::Event>> routed) {
-  released_.clear();
-  arbiter_.release_below(release_below, released_);
+  send_chunk(release_below, flush, air_);
+  return receive_chunk(air_, routed);
+}
+
+void SharedAerLink::send_chunk(Real release_below, bool flush,
+                               AerAirChunk& air) {
+  air.pulses.clear();
+  air.flush = flush;
+  // Under ideal_radio the released events are what goes on the air.
+  core::EventStream& released = link_ ? released_ : air.events;
+  released.clear();
+  arbiter_.release_below(release_below, released);
   // Future released events leave at max(event time, arbiter busy-until).
   const Real sent_after = std::max(release_below, arbiter_.next_free());
-  const core::EventStream* decoded = &released_;
+  air.watermark =
+      link_ ? link_->transmit_chunk(released.events(), sent_after, flush,
+                                    air.pulses)
+            : (flush ? kInf : sent_after);
+}
+
+const core::EventStream& SharedAerLink::receive_chunk(
+    const AerAirChunk& air, std::span<std::vector<core::Event>> routed) {
+  const core::EventStream* decoded = &air.events;
   if (link_) {
     decoded_.clear();
-    link_->run_chunk(released_.events(), sent_after, flush, decoded_);
+    link_->receive_chunk(air.pulses, air.watermark, decoded_);
     decoded = &decoded_;
   } else {
-    ideal_watermark_ = flush ? kInf : sent_after;
+    ideal_watermark_ = air.watermark;
   }
   for (const auto& e : decoded->events()) {
     if (aer_route(e, routed.size(), demux_)) routed[e.channel].push_back(e);

@@ -62,6 +62,21 @@ class StreamingLink {
   void run_chunk(std::span<const core::Event> events, Real watermark,
                  bool flush, core::EventStream& out);
 
+  /// run_chunk's TX half: modulates `events` and propagates them through
+  /// the channel, appending every pulse the channel releases to `rx` (not
+  /// cleared). Returns the watermark to decode `rx` under (+inf on
+  /// `flush`). The halves touch disjoint state, so one thread may
+  /// transmit chunk k+1 while another receives chunk k.
+  Real transmit_chunk(std::span<const core::Event> events, Real watermark,
+                      bool flush, PulseTrain& rx);
+
+  /// run_chunk's RX half: decodes the pulses transmit_chunk released,
+  /// chunks in the order they were transmitted.
+  void receive_chunk(const PulseTrain& rx, Real watermark,
+                     core::EventStream& out) {
+    receiver_.decode_chunk(rx, watermark, out);
+  }
+
   [[nodiscard]] std::size_t pulses_tx() const {
     return modulator_.pulses_emitted();
   }
@@ -114,10 +129,22 @@ struct SharedAerConfig {
   bool cache_detection{true};
 };
 
+/// One chunk between SharedAerLink's halves: what send_chunk put on the
+/// air, for receive_chunk to decode. Reused from chunk to chunk.
+struct AerAirChunk {
+  PulseTrain pulses;         ///< pulses the channel released (the radio)
+  core::EventStream events;  ///< events the arbiter released (ideal_radio)
+  Real watermark{0.0};       ///< decode watermark, +inf on flush
+  bool flush{false};
+};
+
 /// The shared radio's one chunk step — AerArbiter release -> StreamingLink
 /// -> aer_route demux — wired once for every chunked caller (the batch
 /// runner's shared mode and SharedAerStreamingSession). Any watermark
 /// schedule decodes and routes exactly what one whole-stream chunk does.
+/// run_chunk is send_chunk then receive_chunk; a caller may run the two
+/// halves on different threads, chunk k+1 sending while chunk k is
+/// received, as long as each half keeps chunk order.
 class SharedAerLink {
  public:
   SharedAerLink(const LinkConfig& link, const SharedAerConfig& shared,
@@ -136,9 +163,21 @@ class SharedAerLink {
   const core::EventStream& run_chunk(Real release_below, bool flush,
                                      std::span<std::vector<core::Event>> routed);
 
-  /// Every future decoded event has time_s >= this bound.
+  /// TX half: arbiter release -> modulate -> channel into `air` (cleared
+  /// first). Touches the arbiter, modulator and channel only.
+  void send_chunk(Real release_below, bool flush, AerAirChunk& air);
+
+  /// RX half: decodes `air` and routes it as run_chunk does. Touches the
+  /// receiver and the demux only. Returns the chunk's decoded stream,
+  /// valid until the next call or until `air` is reused.
+  const core::EventStream& receive_chunk(
+      const AerAirChunk& air, std::span<std::vector<core::Event>> routed);
+
+  /// Every future decoded event has time_s >= this bound (RX side).
   [[nodiscard]] Real event_time_watermark() const;
 
+  // Statistics: arbiter and pulse counts belong to the TX half, demux and
+  // decode to the RX half; read each only while that half is idle.
   [[nodiscard]] const AerStats& arbiter_stats() const {
     return arbiter_.stats();
   }
@@ -158,6 +197,7 @@ class SharedAerLink {
   AerArbiter arbiter_;
   std::optional<StreamingLink> link_;  ///< empty under ideal_radio
   AerStats demux_{};
+  AerAirChunk air_;  ///< run_chunk's hand-over between the halves
   core::EventStream released_;
   core::EventStream decoded_;
   Real ideal_watermark_{-std::numeric_limits<Real>::infinity()};

@@ -602,9 +602,7 @@ TEST_F(NetServeTest, DrainForceClosesAPeerThatNeverDrainsItsErrors) {
   // not gated on the peer reading), so megabytes of error output are
   // provably stuck behind the closed receive window before the drain.
   constexpr std::uint64_t kFrames = kBursts * kFramesPerBurst;
-  for (int i = 0; i < 1000 && stats().frames_bad < kFrames; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  (void)wait_until([&] { return stats().frames_bad >= kFrames; });
   ASSERT_EQ(stats().frames_bad, kFrames);
   ASSERT_LT(stats().bytes_tx, kFrames * 30);  // most of it never flushed
 

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -66,6 +68,48 @@ TEST(ThreadPool, PropagatesTaskException) {
   pool.submit([&counter] { counter.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 1);
+}
+
+TEST(ThreadPool, FrontLaneRunsAheadOfQueuedTasks) {
+  runtime::ThreadPool pool(1);
+  std::promise<void> started;
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  std::vector<std::string> order;  // one worker: no lock needed
+  pool.submit([&started, open, &order] {
+    started.set_value();
+    open.wait();
+    order.push_back("busy");
+  });
+  started.get_future().wait();
+  // The worker is busy: everything below queues behind it.
+  for (int i = 0; i < 3; ++i) {
+    pool.submit([&order, i] { order.push_back("back" + std::to_string(i)); });
+  }
+  pool.submit_front([&order] { order.push_back("front0"); });
+  pool.submit_front([&pool, &order] {
+    order.push_back("front1");
+    // Submitted by a running task, still counted by wait_idle.
+    pool.submit_front([&order] { order.push_back("nested"); });
+  });
+  gate.set_value();
+  pool.wait_idle();
+  const std::vector<std::string> want = {"busy",  "front1", "nested",
+                                         "front0", "back0", "back1",
+                                         "back2"};
+  EXPECT_EQ(order, want);
+}
+
+TEST(ThreadPool, FrontLaneExceptionIsRethrown) {
+  runtime::ThreadPool pool(1);
+  std::atomic<int> counter{0};
+  pool.submit([&counter] { counter.fetch_add(1); });
+  pool.submit_front([] { throw std::runtime_error("front boom"); });
+  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
+  EXPECT_EQ(counter.load(), 1);
+  pool.submit_front([&counter] { counter.fetch_add(1); });
+  pool.wait_idle();
+  EXPECT_EQ(counter.load(), 2);
 }
 
 TEST(PipelineRunner, ParallelIsBitIdenticalToSerial) {

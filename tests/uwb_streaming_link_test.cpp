@@ -3,7 +3,9 @@
 // -> UwbReceiver, bit for bit, over random chunk schedules. Also pins the
 // whole-train adapters (modulate_datc / modulate_aer / propagate, and
 // the by-reference Rng contract of propagate) and the channel's config
-// validation.
+// validation. The TX/RX halves (transmit_chunk / receive_chunk and
+// SharedAerLink's send_chunk / receive_chunk), run with TX up to two
+// chunks ahead of RX, must equal run_chunk bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <span>
 #include <string>
@@ -177,23 +180,33 @@ Decoded streamed_run(const core::EventStream& tx, const uwb::LinkConfig& link,
   return out;
 }
 
-void expect_same(const Decoded& a, const Decoded& b, const std::string& what) {
+void expect_same_events(const core::EventStream& a, const core::EventStream& b,
+                        const std::string& what) {
   SCOPED_TRACE(what);
-  EXPECT_EQ(a.pulses_tx, b.pulses_tx);
-  EXPECT_EQ(a.pulses_erased, b.pulses_erased);
-  EXPECT_EQ(a.stats.pulses_in, b.stats.pulses_in);
-  EXPECT_EQ(a.stats.pulses_detected, b.stats.pulses_detected);
-  EXPECT_EQ(a.stats.packets_decoded, b.stats.packets_decoded);
-  EXPECT_EQ(a.stats.code_bit_ones_missed, b.stats.code_bit_ones_missed);
-  EXPECT_EQ(a.stats.false_alarm_bits, b.stats.false_alarm_bits);
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const auto& x = a.events.events()[i];
-    const auto& y = b.events.events()[i];
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto& x = a.events()[i];
+    const auto& y = b.events()[i];
     ASSERT_EQ(x.time_s, y.time_s) << "event " << i;
     ASSERT_EQ(x.vth_code, y.vth_code) << "event " << i;
     ASSERT_EQ(x.channel, y.channel) << "event " << i;
   }
+}
+
+void expect_same_decode(const uwb::DecodeStats& a, const uwb::DecodeStats& b) {
+  EXPECT_EQ(a.pulses_in, b.pulses_in);
+  EXPECT_EQ(a.pulses_detected, b.pulses_detected);
+  EXPECT_EQ(a.packets_decoded, b.packets_decoded);
+  EXPECT_EQ(a.code_bit_ones_missed, b.code_bit_ones_missed);
+  EXPECT_EQ(a.false_alarm_bits, b.false_alarm_bits);
+}
+
+void expect_same(const Decoded& a, const Decoded& b, const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.pulses_tx, b.pulses_tx);
+  EXPECT_EQ(a.pulses_erased, b.pulses_erased);
+  expect_same_decode(a.stats, b.stats);
+  expect_same_events(a.events, b.events, "events");
 }
 
 void expect_same_train(const uwb::PulseTrain& a, const uwb::PulseTrain& b) {
@@ -282,6 +295,240 @@ TEST_P(StreamingLinkOracleTest, BatchAdaptersMatchOracle) {
   expect_same(Decoded{run.pulses_tx, run.pulses_erased, run.merged_rx,
                       run.decode},
               oracle, "run_aer_over_link");
+}
+
+/// Picks how many sent chunks RX leaves undecoded: 0, 1 or 2.
+std::size_t random_lead(dsp::Rng& rng) {
+  return static_cast<std::size_t>(rng.integer(0, 2));
+}
+
+/// After each chunk is decoded: events so far and the event watermark.
+struct ChunkTrace {
+  std::vector<std::size_t> events_after;
+  std::vector<Real> watermark_after;
+};
+
+TEST_P(StreamingLinkOracleTest, SplitHalvesMatchRunChunk) {
+  const LinkCase& c = GetParam();
+  for (std::uint64_t trial = 0; trial < 4; ++trial) {
+    dsp::Rng gen(3000 + trial);
+    const auto tx = random_events(c, 60 + 40 * trial, gen);
+    const auto link = link_for(c, 90 + trial);
+    const std::span<const core::Event> all(tx.events());
+    auto steps = random_schedule(tx, gen);
+    // Odd trials flush a non-empty tail; even ones an empty chunk.
+    if (trial % 2 == 1 && steps.size() > 1) steps.resize(steps.size() / 2);
+
+    // Reference: the same schedule through run_chunk.
+    uwb::StreamingLink ref(link, kCodeBits, c.address_bits,
+                           c.cache_detection);
+    Decoded want;
+    ChunkTrace want_trace;
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i <= steps.size(); ++i) {
+      const bool flush = i == steps.size();
+      const std::size_t end = flush ? tx.size() : steps[i].end;
+      ref.run_chunk(all.subspan(pos, end - pos),
+                    flush ? kInf : steps[i].watermark, flush, want.events);
+      pos = end;
+      want_trace.events_after.push_back(want.events.size());
+      want_trace.watermark_after.push_back(ref.event_time_watermark());
+    }
+    want.pulses_tx = ref.pulses_tx();
+    want.pulses_erased = ref.pulses_erased();
+    want.stats = ref.decode_stats();
+    expect_same(want, streamed_run(tx, link, c, {}), "run_chunk schedule");
+
+    // The halves: TX runs 0-2 chunks ahead of RX.
+    uwb::StreamingLink radio(link, kCodeBits, c.address_bits,
+                             c.cache_detection);
+    struct Sent {
+      uwb::PulseTrain pulses;
+      Real watermark;
+    };
+    std::deque<Sent> in_flight;
+    Decoded got;
+    ChunkTrace got_trace;
+    const auto receive_front = [&] {
+      radio.receive_chunk(in_flight.front().pulses,
+                          in_flight.front().watermark, got.events);
+      in_flight.pop_front();
+      got_trace.events_after.push_back(got.events.size());
+      got_trace.watermark_after.push_back(radio.event_time_watermark());
+    };
+    pos = 0;
+    for (std::size_t i = 0; i <= steps.size(); ++i) {
+      const bool flush = i == steps.size();
+      const std::size_t end = flush ? tx.size() : steps[i].end;
+      Sent sent{{}, 0.0};
+      sent.watermark = radio.transmit_chunk(
+          all.subspan(pos, end - pos), flush ? kInf : steps[i].watermark,
+          flush, sent.pulses);
+      pos = end;
+      in_flight.push_back(std::move(sent));
+      const std::size_t lead = flush ? 0 : random_lead(gen);
+      while (in_flight.size() > lead) receive_front();
+    }
+    got.pulses_tx = radio.pulses_tx();
+    got.pulses_erased = radio.pulses_erased();
+    got.stats = radio.decode_stats();
+    expect_same(got, want, "split halves, trial " + std::to_string(trial));
+    EXPECT_EQ(got_trace.events_after, want_trace.events_after);
+    EXPECT_EQ(got_trace.watermark_after, want_trace.watermark_after);
+  }
+}
+
+/// Per-channel time-ordered streams for `n` channels, dense enough that
+/// the arbiter delays events (about one per 6 us against a 2 us spacing).
+std::vector<core::EventStream> random_channels(std::size_t n,
+                                               std::size_t events,
+                                               dsp::Rng& rng) {
+  std::vector<core::EventStream> out(n);
+  for (auto& ch : out) {
+    Real t = 1e-3;
+    for (std::size_t i = 0; i < events; ++i) {
+      t += rng.uniform(1e-6, 12e-6 * static_cast<Real>(n));
+      ch.add(t, static_cast<std::uint8_t>(rng.integer(0, 15)));
+    }
+  }
+  return out;
+}
+
+/// Everything a SharedAerLink run reports.
+struct SharedTrace {
+  core::EventStream decoded;
+  std::vector<std::vector<core::Event>> routed;
+  ChunkTrace chunks;
+  uwb::AerStats arbiter{};
+  uwb::AerStats demux{};
+  std::size_t pulses_tx{0};
+  std::size_t pulses_erased{0};
+  uwb::DecodeStats decode{};
+};
+
+void expect_same_aer(const uwb::AerStats& a, const uwb::AerStats& b) {
+  EXPECT_EQ(a.in_events, b.in_events);
+  EXPECT_EQ(a.sent, b.sent);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.max_delay_s, b.max_delay_s);
+  EXPECT_EQ(a.invalid_address, b.invalid_address);
+}
+
+void expect_same_shared(const SharedTrace& a, const SharedTrace& b,
+                        bool compare_chunks, const std::string& what) {
+  SCOPED_TRACE(what);
+  expect_same_events(a.decoded, b.decoded, "decoded");
+  ASSERT_EQ(a.routed.size(), b.routed.size());
+  for (std::size_t c = 0; c < a.routed.size(); ++c) {
+    expect_same_events(core::EventStream(a.routed[c]),
+                       core::EventStream(b.routed[c]),
+                       "channel " + std::to_string(c));
+  }
+  if (compare_chunks) {
+    EXPECT_EQ(a.chunks.events_after, b.chunks.events_after);
+    EXPECT_EQ(a.chunks.watermark_after, b.chunks.watermark_after);
+  }
+  expect_same_aer(a.arbiter, b.arbiter);
+  expect_same_aer(a.demux, b.demux);
+  EXPECT_EQ(a.pulses_tx, b.pulses_tx);
+  EXPECT_EQ(a.pulses_erased, b.pulses_erased);
+  expect_same_decode(a.decode, b.decode);
+}
+
+/// Drives a SharedAerLink over release watermarks `releases` (then a
+/// flush), pushing each channel's events below every watermark first.
+/// With `split`, TX runs 0-2 chunks ahead of RX through send_chunk /
+/// receive_chunk; otherwise each chunk is one run_chunk.
+SharedTrace shared_run(const std::vector<core::EventStream>& channels,
+                       const uwb::LinkConfig& link,
+                       const uwb::SharedAerConfig& shared,
+                       const std::vector<Real>& releases, bool split,
+                       dsp::Rng& lead_rng) {
+  const std::size_t n = channels.size();
+  uwb::SharedAerLink radio(link, shared, kCodeBits, n);
+  SharedTrace out;
+  out.routed.resize(n);
+  std::vector<std::size_t> pushed(n, 0);
+  std::deque<uwb::AerAirChunk> in_flight;
+  const auto record = [&](const core::EventStream& decoded) {
+    for (const auto& e : decoded.events()) {
+      out.decoded.add(e.time_s, e.vth_code, e.channel);
+    }
+    out.chunks.events_after.push_back(out.decoded.size());
+    out.chunks.watermark_after.push_back(radio.event_time_watermark());
+  };
+  for (std::size_t k = 0; k <= releases.size(); ++k) {
+    const bool flush = k == releases.size();
+    const Real release = flush ? kInf : releases[k];
+    for (std::size_t c = 0; c < n; ++c) {
+      const auto& ev = channels[c].events();
+      std::size_t end = pushed[c];
+      while (end < ev.size() && ev[end].time_s < release) ++end;
+      radio.push(c, std::span<const core::Event>(ev).subspan(
+                        pushed[c], end - pushed[c]));
+      pushed[c] = end;
+    }
+    if (!split) {
+      record(radio.run_chunk(release, flush, out.routed));
+      continue;
+    }
+    in_flight.emplace_back();
+    radio.send_chunk(release, flush, in_flight.back());
+    const std::size_t lead = flush ? 0 : random_lead(lead_rng);
+    while (in_flight.size() > lead) {
+      record(radio.receive_chunk(in_flight.front(), out.routed));
+      in_flight.pop_front();
+    }
+  }
+  out.arbiter = radio.arbiter_stats();
+  out.demux = radio.demux_stats();
+  out.pulses_tx = radio.pulses_tx();
+  out.pulses_erased = radio.pulses_erased();
+  out.decode = radio.decode_stats();
+  return out;
+}
+
+TEST_P(StreamingLinkOracleTest, SharedAerSplitHalvesMatchRunChunk) {
+  const LinkCase& c = GetParam();
+  const std::size_t n = std::size_t{1} << c.address_bits;
+  for (const bool ideal : {false, true}) {
+    for (std::uint64_t trial = 0; trial < 3; ++trial) {
+      dsp::Rng gen(5000 + trial);
+      const auto channels = random_channels(n, 30 + 20 * trial, gen);
+      const auto link = link_for(c, 110 + trial);
+      uwb::SharedAerConfig shared;
+      shared.aer.address_bits = c.address_bits;
+      shared.aer.min_spacing_s = 2e-6;
+      shared.aer.max_queue_delay_s = 40e-6;
+      shared.ideal_radio = ideal;
+      shared.cache_detection = c.cache_detection;
+      Real last = 0.0;
+      for (const auto& ch : channels) last = std::max(last, ch.events().back().time_s);
+      // Random rising release watermarks, some repeated; odd trials stop
+      // short of the last event, so the flush chunk carries a tail.
+      const Real stop = trial % 2 == 1 ? 0.6 * last : last + 1e-3;
+      std::vector<Real> releases;
+      for (Real t = 1e-3; t < stop;) {
+        if (!gen.chance(0.15)) t += gen.uniform(0.0, (last - 1e-3) / 8.0);
+        releases.push_back(std::min(t, stop));
+      }
+
+      const std::string what = std::string(ideal ? "ideal" : "radio") +
+                               ", trial " + std::to_string(trial);
+      const SharedTrace whole =
+          shared_run(channels, link, shared, {}, /*split=*/false, gen);
+      const SharedTrace chunked =
+          shared_run(channels, link, shared, releases, /*split=*/false, gen);
+      expect_same_shared(chunked, whole, /*compare_chunks=*/false,
+                         "run_chunk schedule, " + what);
+      for (int rep = 0; rep < 3; ++rep) {
+        expect_same_shared(
+            shared_run(channels, link, shared, releases, /*split=*/true, gen),
+            chunked, /*compare_chunks=*/true,
+            "split halves, " + what + ", rep " + std::to_string(rep));
+      }
+    }
+  }
 }
 
 std::vector<LinkCase> link_cases() {
